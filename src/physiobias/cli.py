@@ -3,6 +3,10 @@
 Every output embeds the configuration, the seed and the tool version, and
 carries no timestamps, so a rerun with the same flags is byte-identical.
 Exit codes: 0 success, 1 partial failure (some sessions skipped), 2 fatal.
+`extract` also writes extract_diagnostics.json (per session: EDA solver
+convergence, iterations, residual RMS and window count) and warns on stderr
+about each session whose decomposition stopped at its iteration cap; such a
+session is kept, so the warning does not change the exit code.
 """
 from __future__ import annotations
 
@@ -148,6 +152,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     meta = _meta("extract", config)
 
     extracted = []
+    diagnostics = []
     failures = 0
     for session_dir in session_dirs:
         try:
@@ -156,6 +161,16 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 session, decomp, window_seconds=args.window_seconds
             )
             extracted.append((session.participant_id, int(session.label.value), vectors))
+            diagnostics.append({
+                "participant": session.participant_id,
+                "converged": components.converged,
+                "iterations": components.iterations,
+                "residual_rms": components.residual_rms,
+                "windows": len(vectors),
+            })
+            if not components.converged:
+                print(f"warning: {session.participant_id}: EDA decomposition did not "
+                      f"converge in {components.iterations} iterations", file=sys.stderr)
             if args.debug_eda:
                 debug_dir.mkdir(exist_ok=True)
                 dump_components_csv(
@@ -173,6 +188,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
     data = build_feature_matrix(extracted)
     data.to_csv(args.out / "features.csv", meta=meta)
+    doc = {"meta": meta, "sessions": diagnostics}
+    (args.out / "extract_diagnostics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {data.n_rows} windows x {len(data.column_names)} features "
           f"for {len(extracted)} sessions -> {args.out / 'features.csv'}")
     if failures:

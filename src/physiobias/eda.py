@@ -19,6 +19,17 @@ The solver is an accelerated proximal-gradient iteration with a descent
 safeguard, so the recorded objective is non-increasing. The driver is
 discretized at the EDA rate and the kernel truncated at `kernel_seconds`
 of support.
+
+Cost: B is kept as a sparse matrix (at most four nonzeros per row), so
+memory is linear in the session length n. Each point carries its residual
+e = K r + B c + D d - y: a step computes the gradient from the residual it
+starts from (one convolution, one sparse product) and the new point's
+residual (one convolution, one sparse product), and the objective reuses
+that residual. The extrapolated point's residual is the same combination of
+the two residuals it extrapolates from, because e is affine in (r, c, d).
+So an iteration costs two O(n * kernel length) convolutions and two O(n)
+sparse products; a fallback step adds the same again. K r stays a direct
+convolution of the non-negative driver, so phasic = K r is never negative.
 """
 from __future__ import annotations
 
@@ -26,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.sparse import csr_array
 
 from .errors import InsufficientData, ParamError
 from .signals import Signal, samples_per_window
@@ -87,18 +99,20 @@ def bateman_kernel(tau0: float, tau1: float, rate: float, length: int) -> np.nda
     return h
 
 
-def _spline_basis(n: int, rate: float, knot_spacing: float) -> np.ndarray:
-    """Clamped cubic B-spline design matrix on the sample grid."""
+def _spline_basis(n: int, rate: float, knot_spacing: float) -> csr_array:
+    """Clamped cubic B-spline design matrix on the sample grid, kept sparse:
+    each row has at most four nonzeros, so memory grows linearly with n."""
     t = np.arange(n) / rate
     t_end = float(t[-1])
     n_seg = max(1, int(np.floor(t_end / knot_spacing + 1e-9)))
     inner = np.linspace(0.0, t_end, n_seg + 1)
     knots = np.concatenate([np.repeat(inner[0], 3), inner, np.repeat(inner[-1], 3)])
-    return BSpline.design_matrix(t, knots, 3).toarray()
+    return BSpline.design_matrix(t, knots, 3)
 
 
 def _power_iteration_lipschitz(
-    conv: np.ndarray, B: np.ndarray, D: np.ndarray, gamma: float, n: int, iters: int = 60
+    conv: np.ndarray, B: csr_array, Bt: csr_array, D: np.ndarray, gamma: float, n: int,
+    iters: int = 60,
 ) -> float:
     """Largest eigenvalue of the Hessian of the smooth objective part."""
     rng = np.random.default_rng(12345)
@@ -110,7 +124,7 @@ def _power_iteration_lipschitz(
         r, c, d = x[:n], x[n:n + m], x[n + m:]
         fit = np.convolve(r, conv)[:n] + B @ c + D @ d
         hr = np.convolve(fit[::-1], conv)[:n][::-1]
-        hc = B.T @ fit + gamma * c
+        hc = Bt @ fit + gamma * c
         hd = D.T @ fit
         nxt = np.concatenate([hr, hc, hd])
         lam = float(np.linalg.norm(nxt))
@@ -143,21 +157,21 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
     klen = min(n, int(round(params.kernel_seconds * rate)))
     h = bateman_kernel(params.tau0, params.tau1, rate, klen)
     B = _spline_basis(n, rate, params.knot_spacing)
+    Bt = B.T.tocsr()
     t = np.arange(n) / rate
     # Affine trend with the time column normalized to [0, 1] for conditioning.
     D = np.column_stack([t / max(t[-1], 1.0), np.ones(n)])
-    m, q = B.shape[1], D.shape[1]
+    m = B.shape[1]
 
     alpha, gamma = params.alpha, params.gamma
 
-    def predict(r: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return np.convolve(r, h)[:n] + B @ c + D @ d
+    def residual_at(r: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return np.convolve(r, h)[:n] + B @ c + D @ d - y
 
-    def objective(r: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
-        e = predict(r, c, d) - y
+    def objective(r: np.ndarray, c: np.ndarray, e: np.ndarray) -> float:
         return float(0.5 * e @ e + alpha * r.sum() + 0.5 * gamma * c @ c)
 
-    L = _power_iteration_lipschitz(h, B, D, gamma, n) * 1.05
+    L = _power_iteration_lipschitz(h, B, Bt, D, gamma, n) * 1.05
     step = 1.0 / L
 
     # Warm start: affine least-squares fit, no driver, no spline wiggle.
@@ -165,33 +179,35 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
     r = np.zeros(n)
     c = np.zeros(m)
     d = d0.copy()
-    vr, vc, vd = r.copy(), c.copy(), d.copy()
+    e = residual_at(r, c, d)
+    vr, vc, vd, ve = r.copy(), c.copy(), d.copy(), e.copy()
     t_acc = 1.0
 
-    f_cur = objective(r, c, d)
+    f_cur = objective(r, c, e)
     trace = [f_cur]
     converged = False
     iterations = 0
 
-    def prox_step(pr, pc, pd):
-        e = predict(pr, pc, pd) - y
-        gr = np.convolve(e[::-1], h)[:n][::-1]
-        gc = B.T @ e + gamma * pc
-        gd = D.T @ e
+    def prox_step(pr, pc, pd, pe):
+        """Proximal gradient step from a point whose residual is pe; returns
+        the new point and its residual (two convolutions in all)."""
+        gr = np.convolve(pe[::-1], h)[:n][::-1]
+        gc = Bt @ pe + gamma * pc
+        gd = D.T @ pe
         nr = np.maximum(pr - step * (gr + alpha), 0.0)
         nc = pc - step * gc
         nd = pd - step * gd
-        return nr, nc, nd
+        return nr, nc, nd, residual_at(nr, nc, nd)
 
     for it in range(params.max_iter):
         iterations = it + 1
-        nr, nc, nd = prox_step(vr, vc, vd)
-        f_new = objective(nr, nc, nd)
+        nr, nc, nd, ne = prox_step(vr, vc, vd, ve)
+        f_new = objective(nr, nc, ne)
         if f_new > f_cur:
             # Extrapolated step overshot: fall back to a plain step from the
             # current point, which cannot increase the objective for 1/L.
-            nr, nc, nd = prox_step(r, c, d)
-            f_new = objective(nr, nc, nd)
+            nr, nc, nd, ne = prox_step(r, c, d, e)
+            f_new = objective(nr, nc, ne)
             if f_new > f_cur:
                 # Numerical floor reached.
                 trace.append(f_cur)
@@ -203,7 +219,10 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
         vr = nr + beta * (nr - r)
         vc = nc + beta * (nc - c)
         vd = nd + beta * (nd - d)
-        r, c, d = nr, nc, nd
+        # The residual is affine in (r, c, d), so the extrapolated point's
+        # residual follows from the two it extrapolates from.
+        ve = ne + beta * (ne - e)
+        r, c, d, e = nr, nc, nd, ne
         t_acc = t_next
         trace.append(f_new)
         if abs(f_cur - f_new) <= params.tol * max(1.0, abs(f_cur)):

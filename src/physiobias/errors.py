@@ -17,6 +17,10 @@ class LabelError(PhysioBiasError):
     """Unknown IAT category, or a participant without a label."""
 
 
+class BadParticipantId(PhysioBiasError):
+    """Participant id that would not survive a features.csv round trip."""
+
+
 class MissingChannel(PhysioBiasError):
     """Session directory lacks a required channel file."""
 

@@ -212,7 +212,7 @@ def mann_whitney_u(x, y) -> tuple[float, float, bool]:
         i = j + 1
 
     r1 = float(ranks[:n1].sum())
-    u1 = n1 * n2 + n1 * (n1 + 1) / 2.0 - r1
+    u1 = r1 - n1 * (n1 + 1) / 2.0
     mean_u = n1 * n2 / 2.0
     var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var_u <= 0:

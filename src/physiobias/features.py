@@ -23,7 +23,7 @@ from .dataset import Dataset
 from .eda import DecompParams, EdaComponents, decompose
 from .errors import InsufficientData
 from .ingest import RawSession
-from .signals import Window, magnitude, partition_windows
+from .signals import Window, magnitude, partition_windows, samples_per_window
 
 STAT_FEATURES = (
     "max", "min", "median", "mean", "std", "var",
@@ -272,7 +272,14 @@ def extract_session_features(
     window_seconds: float = 5.0,
 ) -> tuple[list[WindowFeatureVector], EdaComponents]:
     """Decompose the session's EDA, window all seven signals, and compute
-    per-window feature vectors."""
+    per-window feature vectors.
+
+    Raises:
+        ParamError: window_seconds is not a whole number of samples on some
+            channel; checked before the decomposition is paid for.
+    """
+    for sig in session.channels().values():
+        samples_per_window(sig.rate, window_seconds)
     components = decompose(session.eda, decomp_params)
     channels = {
         "eda": session.eda,

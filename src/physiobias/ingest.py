@@ -13,7 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySignal, InsufficientData, LabelError, MissingChannel, ParseError
+from .errors import (
+    BadParticipantId,
+    EmptySignal,
+    InsufficientData,
+    LabelError,
+    MissingChannel,
+    ParseError,
+)
 from .signals import Signal, TriaxialSignal
 
 # Empatica convention; the device stores acceleration as signed counts.
@@ -229,12 +236,19 @@ def assemble_session(
     nothing is ever padded. The directory name is the participant id.
 
     Raises:
+        BadParticipantId: the directory name holds a comma or a line break,
+            or starts with '#', any of which would break features.csv.
         MissingChannel: a channel file is absent.
         LabelError: the participant has no label.
         InsufficientData: the common interval is shorter than min_duration.
     """
     session_dir = Path(session_dir)
     participant_id = session_dir.name
+    if any(ch in participant_id for ch in ",\n\r") or participant_id.startswith("#"):
+        raise BadParticipantId(
+            f"participant id {participant_id!r} holds a comma or line break, "
+            "or starts with '#', which features.csv cannot carry"
+        )
     if participant_id not in labels:
         raise LabelError(f"no label for participant {participant_id!r}")
 

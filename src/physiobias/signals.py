@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import InsufficientData, ParamError
 
 DEFAULT_WINDOW_SECONDS = 5.0
 
@@ -97,7 +97,21 @@ def magnitude(acc: TriaxialSignal) -> Signal:
 
 
 def samples_per_window(rate: float, window_seconds: float) -> int:
-    return int(round(rate * window_seconds))
+    """Samples in one window. Every channel's windows start on the same
+    instants only if rate * window_seconds is a whole number of samples.
+
+    Raises:
+        ParamError: rate * window_seconds is not a positive integer (within
+            1e-9), e.g. 2.5 s windows on the 1 Hz HR channel.
+    """
+    exact = rate * window_seconds
+    spw = int(round(exact))
+    if spw < 1 or abs(exact - spw) > 1e-9:
+        raise ParamError(
+            f"{window_seconds:g} s windows hold {exact:g} samples at {rate:g} Hz; "
+            "need a positive whole number of samples per window on every channel"
+        )
+    return spw
 
 
 def partition_windows(
@@ -112,6 +126,8 @@ def partition_windows(
     (within one sample period per channel).
 
     Raises:
+        ParamError: a channel's rate times window_seconds is not a whole
+            number of samples.
         InsufficientData: if the session is shorter than one window.
     """
     if not channels:
@@ -126,13 +142,7 @@ def partition_windows(
         if abs(s.start_time - start) > max_period:
             raise ValueError("channels are not aligned: start times differ")
 
-    counts = {}
-    for name, s in channels.items():
-        spw = samples_per_window(s.rate, window_seconds)
-        if spw < 1:
-            raise ValueError(f"channel {name}: rate too low for {window_seconds}s windows")
-        counts[name] = s.samples.size // spw
-    n_windows = min(counts.values())
+    n_windows = min(s.samples.size // samples_per_window(s.rate, window_seconds) for s in sigs)
     if n_windows < 1:
         raise InsufficientData(
             f"session shorter than one {window_seconds}s window "

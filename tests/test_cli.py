@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -101,6 +102,57 @@ class TestExtract:
         assert rc == 1
         data = from_csv(tmp_path / "out" / "features.csv")
         assert set(data.participant_ids) == {f"P{i:03d}" for i in range(2, 7)}
+
+    def test_diagnostics_sidecar_is_deterministic(self, corpus, tmp_path):
+        assert run_extract(corpus, tmp_path / "a") == 0
+        assert run_extract(corpus, tmp_path / "b") == 0
+        raw = (tmp_path / "a" / "extract_diagnostics.json").read_bytes()
+        assert raw == (tmp_path / "b" / "extract_diagnostics.json").read_bytes()
+        doc = json.loads(raw)
+        assert doc["meta"]["command"] == "extract"
+        sessions = doc["sessions"]
+        assert [s["participant"] for s in sessions] == [f"P{i:03d}" for i in range(1, 7)]
+        for s in sessions:
+            assert s["converged"] is True
+            assert 0 < s["iterations"] < 5000
+            assert s["residual_rms"] >= 0.0
+            assert s["windows"] == 12
+
+    def test_unconverged_decomposition_warns_and_is_kept(self, corpus, tmp_path, capsys):
+        rc = run_extract(corpus, tmp_path, ("--decomp-max-iter", "5"))
+        assert rc == 0
+        err = capsys.readouterr().err
+        for i in range(1, 7):
+            assert f"warning: P{i:03d}: EDA decomposition did not converge in 5 iterations" in err
+        assert "skipping" not in err
+        sessions = json.loads((tmp_path / "extract_diagnostics.json").read_text())["sessions"]
+        assert [(s["converged"], s["iterations"]) for s in sessions] == [(False, 5)] * 6
+        assert from_csv(tmp_path / "features.csv").n_rows == 6 * 12
+
+    def test_fractional_window_samples_skip_every_session(self, corpus, tmp_path, capsys):
+        # 2.5 s is 2.5 samples of the 1 Hz HR channel: no session can be
+        # windowed without misaligning HR against the other channels.
+        rc = run_extract(corpus, tmp_path, ("--window-seconds", "2.5"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(f"skipping P{i:03d}:" in err for i in range(1, 7))
+        assert "whole number of samples" in err
+        assert not (tmp_path / "features.csv").exists()
+
+    def test_participant_id_with_comma_skipped(self, corpus, tmp_path, capsys):
+        sessions = tmp_path / "sessions"
+        shutil.copytree(corpus / "sessions", sessions)
+        shutil.copytree(sessions / "P001", sessions / "P,007")
+        labels = tmp_path / "labels.csv"
+        labels.write_text((corpus / "labels.csv").read_text().rstrip("\n")
+                          + '\n"P,007",strong preference for White\n')
+        rc = main(["extract", "--data-dir", str(sessions), "--labels", str(labels),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "skipping P,007: participant id 'P,007' holds a comma" in err
+        data = from_csv(tmp_path / "out" / "features.csv")
+        assert set(data.participant_ids) == {f"P{i:03d}" for i in range(1, 7)}
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import oracles
 from physiobias.eda import (
     DecompParams,
+    _spline_basis,
     bateman_kernel,
     decompose,
     dump_components_csv,
@@ -143,6 +146,52 @@ class TestDecompose:
         comp = decompose(pulse_signal(), params)
         assert comp.converged is False
         assert comp.iterations == 5
+
+
+def drifting_eda(minutes: float, seed: int) -> Signal:
+    """Slow tonic drift plus random sudomotor pulses and sensor noise."""
+    rng = np.random.default_rng(seed)
+    n = int(minutes * 60 * RATE)
+    t = np.arange(n) / RATE
+    driver = np.zeros(n)
+    onsets = rng.choice(n, size=int(6 * minutes), replace=False)
+    driver[onsets] = rng.uniform(0.1, 0.6, onsets.size)
+    phasic = np.convolve(driver, bateman_kernel(2.0, 0.7, RATE, 160))[:n]
+    tonic = 2.5 + 0.15 * np.sin(2 * np.pi * t / 180.0) + 0.05 * t / t[-1]
+    return Signal(0.0, RATE, tonic + phasic + rng.normal(0.0, 0.005, n))
+
+
+class TestDenseReference:
+    """The solver takes the same steps as the dense reference in
+    oracles.o_decompose_dense; only the cost of each step differs."""
+
+    @staticmethod
+    def assert_same_solve(sig: Signal, params: DecompParams) -> None:
+        ref = oracles.o_decompose_dense(
+            sig.samples, sig.rate, tol=params.tol, max_iter=params.max_iter
+        )
+        comp = decompose(sig, params)
+        assert comp.iterations == ref["iterations"]
+        assert comp.converged == ref["converged"]
+        scale = 1e-8 * np.abs(sig.samples).max()
+        for name in ("tonic", "phasic", "driver"):
+            assert np.abs(getattr(comp, name).samples - ref[name]).max() <= scale
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ten_minutes_converged(self, seed):
+        self.assert_same_solve(drifting_eda(10.0, seed), DecompParams())
+
+    def test_stops_at_max_iter(self):
+        params = DecompParams(tol=1e-12, max_iter=300)
+        self.assert_same_solve(drifting_eda(10.0, 2), params)
+        assert decompose(drifting_eda(10.0, 2), params).converged is False
+
+    def test_day_long_basis_is_sparse(self):
+        n = 24 * 3600 * int(RATE)
+        B = _spline_basis(n, RATE, 10.0)
+        assert sparse.issparse(B)
+        assert B.shape[0] == n
+        assert B.nnz <= 4 * n
 
 
 class TestWindowComponents:

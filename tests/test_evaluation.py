@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import mannwhitneyu
 
 import oracles
 from conftest import make_dataset
@@ -103,7 +104,7 @@ class TestOversample:
 class TestMannWhitney:
     def test_separated_groups_match_exact_enumeration(self):
         u, p, tied = mann_whitney_u([1, 2, 3], [4, 5, 6])
-        assert u in (0.0, 9.0)
+        assert u == 0.0
         exact = oracles.o_mann_whitney_exact_p([1, 2, 3], [4, 5, 6])
         assert exact == pytest.approx(0.1)
         assert abs(p - exact) <= 0.03
@@ -117,6 +118,14 @@ class TestMannWhitney:
         _, p, _ = mann_whitney_u(x, y)
         exact = oracles.o_mann_whitney_exact_p(list(x), list(y))
         assert abs(p - exact) <= 0.12
+
+    def test_u_of_first_sample_matches_scipy_with_ties(self):
+        x = [1.0, 2.0, 2.0, 3.0, 5.0, 5.0]
+        y = [2.0, 3.0, 4.0, 5.0, 6.0]
+        u, p, _ = mann_whitney_u(x, y)
+        ref = mannwhitneyu(x, y, use_continuity=True, alternative="two-sided", method="asymptotic")
+        assert u == ref.statistic
+        assert p == pytest.approx(ref.pvalue, rel=1e-12)
 
     def test_all_tied(self):
         u, p, tied = mann_whitney_u([2.0, 2.0], [2.0, 2.0, 2.0])

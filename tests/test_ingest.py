@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physiobias.errors import (
+    BadParticipantId,
     EmptySignal,
     InsufficientData,
     LabelError,
@@ -208,6 +209,12 @@ class TestAssembleSession:
         d = write_session(tmp_path, "P1", duration=20.0)
         with pytest.raises(InsufficientData):
             assemble_session(d, LABELS)
+
+    @pytest.mark.parametrize("pid", ["P,1", "P\n1", "P\r1", "#P1"])
+    def test_id_that_breaks_features_csv_rejected(self, tmp_path, pid):
+        d = write_session(tmp_path, pid)
+        with pytest.raises(BadParticipantId):
+            assemble_session(d, {pid: LABELS["P1"]})
 
     def test_label_attached(self, tmp_path):
         d = write_session(tmp_path, "P1")

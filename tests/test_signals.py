@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from physiobias.errors import InsufficientData
-from physiobias.signals import Signal, TriaxialSignal, magnitude, partition_windows
+from physiobias.errors import InsufficientData, ParamError
+from physiobias.signals import (
+    Signal,
+    TriaxialSignal,
+    magnitude,
+    partition_windows,
+    samples_per_window,
+)
 
 
 def make_channels(duration_s: float, start: float = 0.0) -> dict[str, Signal]:
@@ -99,3 +105,20 @@ class TestPartitionWindows:
         windows = partition_windows(make_channels(60.0), "p1", window_seconds=10.0)
         assert len(windows) == 6
         assert windows[0].channels["eda"].size == 40
+
+    def test_fractional_samples_per_window_rejected(self):
+        # 2.5 s is 10 EDA samples but 2.5 HR samples: rounding HR to 2 would
+        # start HR window k at 2k s while EDA window k starts at 2.5k s.
+        with pytest.raises(ParamError):
+            partition_windows(make_channels(60.0), "p1", window_seconds=2.5)
+
+
+class TestSamplesPerWindow:
+    def test_whole_samples(self):
+        assert samples_per_window(64.0, 5.0) == 320
+        assert samples_per_window(10.0, 0.1 * 3) == 3  # float noise tolerated
+
+    @pytest.mark.parametrize("rate, seconds", [(1.0, 2.5), (4.0, 0.1), (64.0, 0.3)])
+    def test_fractional_rejected(self, rate, seconds):
+        with pytest.raises(ParamError):
+            samples_per_window(rate, seconds)
