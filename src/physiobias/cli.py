@@ -128,17 +128,17 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
     try:
         labels = load_labels(args.labels)
+        decomp = DecompParams(
+            knot_spacing=args.knot_spacing,
+            alpha=args.decomp_alpha,
+            gamma=args.decomp_gamma,
+            tol=args.decomp_tol,
+            max_iter=args.decomp_max_iter,
+        )
     except PhysioBiasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    decomp = DecompParams(
-        knot_spacing=args.knot_spacing,
-        alpha=args.decomp_alpha,
-        gamma=args.decomp_gamma,
-        tol=args.decomp_tol,
-        max_iter=args.decomp_max_iter,
-    )
     args.out.mkdir(parents=True, exist_ok=True)
     debug_dir = args.out / "eda_debug"
     config = {
@@ -224,16 +224,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    params = GbtParams(
-        depth=args.depth,
-        rounds=args.rounds,
-        learning_rate=args.learning_rate,
-        reg_lambda=args.reg_lambda,
-        min_child_weight=args.min_child_weight,
-        subsample=args.subsample,
-        seed=args.seed,
-    )
     try:
+        params = GbtParams(
+            depth=args.depth,
+            rounds=args.rounds,
+            learning_rate=args.learning_rate,
+            reg_lambda=args.reg_lambda,
+            min_child_weight=args.min_child_weight,
+            subsample=args.subsample,
+            seed=args.seed,
+        )
         report = evaluate(
             data,
             params,

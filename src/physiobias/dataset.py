@@ -108,19 +108,3 @@ def from_csv(path: str | Path) -> Dataset:
         column_names=columns,
     )
 
-
-def concat(parts: list[Dataset]) -> Dataset:
-    """Stack datasets that share a column vocabulary."""
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    cols = parts[0].column_names
-    for p in parts[1:]:
-        if p.column_names != cols:
-            raise ValueError("column vocabularies differ")
-    return Dataset(
-        X=np.vstack([p.X for p in parts]),
-        y=np.concatenate([p.y for p in parts]),
-        participant_ids=np.concatenate([p.participant_ids for p in parts]),
-        window_indices=np.concatenate([p.window_indices for p in parts]),
-        column_names=list(cols),
-    )

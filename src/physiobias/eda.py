@@ -34,13 +34,15 @@ convolution of the non-negative driver, so phasic = K r is never negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.sparse import csr_array
 
 from .errors import InsufficientData, ParamError
 from .signals import Signal, samples_per_window
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 
 @dataclass
@@ -101,7 +103,10 @@ def bateman_kernel(tau0: float, tau1: float, rate: float, length: int) -> np.nda
 
 def _spline_basis(n: int, rate: float, knot_spacing: float) -> csr_array:
     """Clamped cubic B-spline design matrix on the sample grid, kept sparse:
-    each row has at most four nonzeros, so memory grows linearly with n."""
+    each row has at most four nonzeros, so memory grows linearly with n.
+    scipy is imported here, so that only the EDA solve pays for it."""
+    from scipy.interpolate import BSpline
+
     t = np.arange(n) / rate
     t_end = float(t[-1])
     n_seg = max(1, int(np.floor(t_end / knot_spacing + 1e-9)))

@@ -1,10 +1,13 @@
 """Leave-one-participant-out evaluation with oversampling and smoothing.
 
 Each fold holds out every window of one participant, balances the training
-rows by duplicating minority-class windows, fits the boosted-tree model,
-predicts the held-out window sequence, smooths it, and takes the longest-run
-label as the participant verdict. Reported metrics are participant-level;
-window-level metrics are kept as diagnostics.
+rows with integer row weights (each minority-class window weighs one more
+for every time the seeded oversampling draw picks it), fits the boosted-tree
+model, predicts the held-out window sequence, smooths it, and takes the
+longest-run label as the participant verdict. The feature matrix is sorted
+once per evaluation: every fold trains on the whole matrix, with the held-out
+participant at weight 0, and filters that one presort. Reported metrics are
+participant-level; window-level metrics are kept as diagnostics.
 """
 from __future__ import annotations
 
@@ -14,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, concat
-from .errors import DegenerateLabels, InsufficientData
-from .gbt import GbtParams, importance, predict_proba_matrix, train
+from .dataset import Dataset
+from .errors import DegenerateLabels, InsufficientData, ParamError
+from .gbt import GbtParams, SortedColumns, importance, predict_proba_matrix, presort, train
 from .smoothing import final_label, majority_window_location, smooth, location_summary
 
 
@@ -95,24 +98,38 @@ def lopo_folds(data: Dataset) -> list[tuple[np.ndarray, np.ndarray, str]]:
     return folds
 
 
-def oversample(data: Dataset, seed: int) -> Dataset:
-    """Duplicate minority-class rows (uniform, with replacement, seeded)
-    until class row counts are equal. All original rows are retained.
+def oversample_weights(y: np.ndarray, seed: int) -> np.ndarray:
+    """Integer row weights that balance the classes: every row weighs 1, and
+    a minority-class row one more per time a seeded uniform draw (with
+    replacement, one draw per missing row) picks it.
 
     Raises:
         DegenerateLabels: a single class in the data.
     """
-    counts = {cls: int(np.sum(data.y == cls)) for cls in (0, 1)}
+    counts = {cls: int(np.sum(y == cls)) for cls in (0, 1)}
     if counts[0] == 0 or counts[1] == 0:
         raise DegenerateLabels("oversampling needs both classes present")
+    weights = np.ones(y.size, dtype=np.int64)
     if counts[0] == counts[1]:
-        return data
+        return weights
     minority = 0 if counts[0] < counts[1] else 1
     deficit = abs(counts[0] - counts[1])
-    pool = np.flatnonzero(data.y == minority)
+    pool = np.flatnonzero(y == minority)
     rng = np.random.default_rng(seed)
     extra = pool[rng.integers(0, pool.size, size=deficit)]
-    return concat([data, data.subset(extra)])
+    return weights + np.bincount(extra, minlength=y.size)
+
+
+def oversample(data: Dataset, seed: int) -> Dataset:
+    """The rows of oversample_weights, each as many times as its weight: all
+    original rows first, then the minority-class duplicates.
+
+    Raises:
+        DegenerateLabels: a single class in the data.
+    """
+    weights = oversample_weights(data.y, seed)
+    rows = np.arange(data.n_rows)
+    return data.subset(np.concatenate([rows, np.repeat(rows, weights - 1)]))
 
 
 def _metrics(truths: np.ndarray, predictions: np.ndarray) -> MetricSet:
@@ -136,13 +153,14 @@ def _metrics(truths: np.ndarray, predictions: np.ndarray) -> MetricSet:
     )
 
 
-def _run_fold(args: tuple) -> FoldResult:
-    data, train_rows, test_rows, pid, params, fold_seed, balance = args
-    train_data = data.subset(train_rows)
-    if balance:
-        train_data = oversample(train_data, seed=fold_seed)
+def _run_fold(
+    data: Dataset, sorted_columns: SortedColumns, params: GbtParams, balance: bool, job: tuple,
+) -> FoldResult:
+    train_rows, test_rows, pid, fold_seed = job
+    weights = np.zeros(data.n_rows, dtype=np.int64)
+    weights[train_rows] = oversample_weights(data.y[train_rows], fold_seed) if balance else 1
     fold_params = GbtParams(**{**vars(params), "seed": fold_seed})
-    model = train(train_data, fold_params)
+    model = train(data, fold_params, weights, sorted_columns)
 
     order = np.argsort(data.window_indices[test_rows], kind="stable")
     test_rows = test_rows[order]
@@ -162,6 +180,19 @@ def _run_fold(args: tuple) -> FoldResult:
         location=location,
         importance=importance(model),
     )
+
+
+# What every fold shares, set once per worker process by the pool initializer.
+_shared: tuple = ()
+
+
+def _share(*shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_shared_fold(job: tuple) -> FoldResult:
+    return _run_fold(*_shared, job)
 
 
 def aggregate_importance(
@@ -263,18 +294,25 @@ def evaluate(
     n_jobs: int = 1,
 ) -> EvalReport:
     """Full LOPO evaluation: per-fold oversample/train/predict/smooth, then
-    participant-level metrics against the majority-class baseline."""
+    participant-level metrics against the majority-class baseline.
+
+    Raises:
+        ParamError: top_n below 1.
+    """
+    if top_n < 1:
+        raise ParamError(f"top_n must be >= 1, got {top_n}")
     model_params = model_params or GbtParams()
     folds = lopo_folds(data)
     jobs = [
-        (data, train_rows, test_rows, pid, model_params, seed + 1000 * i, balance)
+        (train_rows, test_rows, pid, seed + 1000 * i)
         for i, (train_rows, test_rows, pid) in enumerate(folds)
     ]
+    shared = (data, presort(data.X), model_params, balance)
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_run_fold, jobs))
+        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_share, initargs=shared) as pool:
+            results = list(pool.map(_run_shared_fold, jobs))
     else:
-        results = [_run_fold(job) for job in jobs]
+        results = [_run_fold(*shared, job) for job in jobs]
 
     truths = np.array([r.truth for r in results])
     verdicts = np.array([r.verdict for r in results])

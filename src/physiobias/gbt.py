@@ -10,17 +10,25 @@ with candidate thresholds at midpoints between consecutive distinct sorted
 values (exact greedy). Rows with a missing value follow the split's default
 branch, chosen to maximize gain. Ties break deterministically: lowest
 feature index, then lowest threshold, then default-left.
+
+The search is the exact pre-sorted method (Chen & Guestrin, KDD 2016):
+each column of a feature matrix is argsorted once (`presort`), a fit keeps
+the rows it trains on, and each node filters its parent's sorted order by
+the split, so no node sorts. Rows carry integer weights that multiply their
+gradients: a row of weight k splits like k copies of itself, and a row of
+weight 0 like no row at all.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateLabels, ShapeError
+from .errors import DegenerateLabels, ParamError, ShapeError
 
 
 @dataclass
@@ -35,13 +43,13 @@ class GbtParams:
 
     def __post_init__(self) -> None:
         if self.depth < 1 or self.rounds < 0:
-            raise ValueError("depth must be >= 1 and rounds >= 0")
+            raise ParamError("depth must be >= 1 and rounds >= 0")
         if not (0 < self.learning_rate <= 1):
-            raise ValueError("learning_rate must be in (0, 1]")
+            raise ParamError("learning_rate must be in (0, 1]")
         if self.reg_lambda < 0 or self.min_child_weight < 0:
-            raise ValueError("reg_lambda and min_child_weight must be >= 0")
+            raise ParamError("reg_lambda and min_child_weight must be >= 0")
         if not (0 < self.subsample <= 1):
-            raise ValueError("subsample must be in (0, 1]")
+            raise ParamError("subsample must be in (0, 1]")
 
 
 @dataclass
@@ -84,9 +92,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
+def _log_loss(y: np.ndarray, p: np.ndarray, w: np.ndarray) -> float:
+    """Mean log loss over rows counted w times each."""
     p = np.clip(p, 1e-15, 1.0 - 1e-15)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return float(-(w @ (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))) / w.sum())
 
 
 @dataclass
@@ -95,6 +104,31 @@ class _Split:
     threshold: float
     missing_left: bool
     gain: float
+
+
+class SortedColumns(NamedTuple):
+    """Rows of a feature matrix in ascending order of each column, NaN last.
+
+    Laid out (d, m): line j holds column j, so prefix sums and argmax run
+    along contiguous memory. Every line lists the same m rows.
+    """
+
+    rows: np.ndarray    # (d, m) row indices into X
+    values: np.ndarray  # (d, m) values[j, k] == X[rows[j, k], j]
+
+
+def presort(X: np.ndarray) -> SortedColumns:
+    """Sort every column of X once; folds and nodes filter this order."""
+    XT = np.ascontiguousarray(X.T)
+    rows = np.argsort(XT, axis=1)                        # NaNs sort last
+    return SortedColumns(rows, np.take_along_axis(XT, rows, axis=1))
+
+
+def _take(cols: SortedColumns, mask: np.ndarray, m: int) -> SortedColumns:
+    """The m entries per line where mask (shaped like cols) holds, in order."""
+    at = np.flatnonzero(mask)        # one scan, then two cheap gathers
+    d = cols.rows.shape[0]
+    return SortedColumns(cols.rows.take(at).reshape(d, m), cols.values.take(at).reshape(d, m))
 
 
 def _variant_gain(
@@ -107,15 +141,125 @@ def _variant_gain(
     reg_lambda: float,
     min_child_weight: float,
 ) -> np.ndarray:
-    gr = g_tot - gl
-    hr = h_tot - hl
-    gain = gl * gl / (hl + reg_lambda)
-    gain += gr * gr / (hr + reg_lambda)
+    """Gain of every candidate, -inf where it is invalid or a child would
+    weigh less than min_child_weight. Computed in place on few temporaries."""
+    hr = np.subtract(h_tot, hl)
+    bad = hr < min_child_weight
+    bad |= hl < min_child_weight
+    bad |= ~valid
+    right = np.subtract(g_tot, gl)
+    right *= right
+    hr += reg_lambda
+    right /= hr                                          # GR^2 / (HR + lam)
+    gain = np.multiply(gl, gl)
+    gain /= np.add(hl, reg_lambda, out=hr)               # GL^2 / (HL + lam)
+    gain += right
     gain -= parent
     gain *= 0.5
-    bad = ~valid | (hl < min_child_weight) | (hr < min_child_weight)
-    gain[bad] = -np.inf
+    np.putmask(gain, bad, -np.inf)
     return gain
+
+
+# Candidates per block of columns that _search scores at once: small enough
+# for the block's temporaries to stay in cache, large enough to amortize the
+# per-block calls.
+_BLOCK = 1 << 15
+
+
+def _block_gains(
+    rows: np.ndarray,
+    sv: np.ndarray,
+    gw: np.ndarray,
+    hw: np.ndarray,
+    g_tot: float,
+    h_tot: float,
+    parent: float,
+    reg_lambda: float,
+    min_child_weight: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gains of the splits between sorted positions i and i+1 of a block of
+    presorted columns, with the default branch that goes with each."""
+    sg = gw.take(rows)
+    sh = hw.take(rows)
+    # Missing values sort last; zero their gradients so that the prefix
+    # sums stop at the last finite value.
+    cols_nan = np.flatnonzero(np.isnan(sv[:, -1]))
+    if cols_nan.size:
+        missing = np.isnan(sv[cols_nan])
+        sg[cols_nan] = np.where(missing, 0.0, sg[cols_nan])
+        sh[cols_nan] = np.where(missing, 0.0, sh[cols_nan])
+    cg = np.cumsum(sg, axis=1)
+    ch = np.cumsum(sh, axis=1)
+
+    # A split is valid when both neighbours are finite and distinct (NaN
+    # compares false).
+    valid = sv[:, 1:] > sv[:, :-1]
+    gl_base = cg[:, :-1]
+    hl_base = ch[:, :-1]
+    gains = _variant_gain(
+        gl_base, hl_base, g_tot, h_tot, parent, valid, reg_lambda, min_child_weight
+    )
+    # Only columns holding a missing value among the node's rows get the
+    # variant that routes missing rows left (ties default left). The others
+    # behave identically either way, so their default stays left.
+    missing_left = np.ones(gains.shape, dtype=bool)
+    if cols_nan.size:
+        gain_left = _variant_gain(
+            gl_base[cols_nan] + (g_tot - cg[cols_nan, -1:]),
+            hl_base[cols_nan] + (h_tot - ch[cols_nan, -1:]),
+            g_tot, h_tot, parent, valid[cols_nan], reg_lambda, min_child_weight,
+        )
+        right = gains[cols_nan]
+        left_wins = gain_left >= right
+        gains[cols_nan] = np.where(left_wins, gain_left, right)
+        missing_left[cols_nan] = left_wins
+    return gains, missing_left
+
+
+def _search(
+    cols: SortedColumns,
+    gw: np.ndarray,
+    hw: np.ndarray,
+    g_tot: float,
+    h_tot: float,
+    reg_lambda: float,
+    min_child_weight: float,
+) -> _Split | None:
+    """Exact greedy split search over a node's presorted columns, vectorized
+    over blocks of columns. gw and hw are the weighted gradients of every
+    row of X; g_tot and h_tot their sums over the node.
+
+    The order within a run of tied values is arbitrary, which is safe:
+    candidates sit only at boundaries between distinct values, where prefix
+    sums do not depend on the order within a tie block.
+    """
+    d, m = cols.rows.shape
+    if m < 2:
+        return None
+    parent = g_tot * g_tot / (h_tot + reg_lambda)
+    step = max(1, _BLOCK // m)
+    best_gain, best = -np.inf, (0, 0, True)
+    for lo in range(0, d, step):
+        gains, missing_left = _block_gains(
+            cols.rows[lo:lo + step], cols.values[lo:lo + step], gw, hw,
+            g_tot, h_tot, parent, reg_lambda, min_child_weight,
+        )
+        # First maximum in (feature, threshold) order for deterministic ties.
+        f, i = divmod(int(np.argmax(gains)), m - 1)
+        gain = float(gains[f, i])
+        if np.isnan(gain):
+            return None
+        if gain > best_gain:
+            best_gain, best = gain, (lo + f, i, bool(missing_left[f, i]))
+    if not np.isfinite(best_gain) or best_gain <= 0.0:
+        return None
+    f, i, missing_left = best
+    return _Split(
+        feature=f,
+        threshold=float(0.5 * (cols.values[f, i + 1] + cols.values[f, i])),
+        missing_left=missing_left,
+        gain=best_gain,
+    )
 
 
 def _best_split(
@@ -126,119 +270,55 @@ def _best_split(
     reg_lambda: float,
     min_child_weight: float,
 ) -> _Split | None:
-    """Exact greedy split search, vectorized across all features at once.
-
-    An unstable sort along each column is safe: candidates sit only at
-    boundaries between distinct values, where prefix sums do not depend on
-    the order within a tie block.
-    """
-    sub = X[rows]
-    n, d = sub.shape
-    if n < 2:
-        return None
-    g_sub = g[rows]
-    h_sub = h[rows]
-    g_tot = float(g_sub.sum())
-    h_tot = float(h_sub.sum())
-
-    nan_mask = np.isnan(sub)
-    any_missing = bool(nan_mask.any())
-    keys = np.where(nan_mask, np.inf, sub) if any_missing else sub
-    order = np.argsort(keys, axis=0)                     # NaNs sort last
-    sv = np.take_along_axis(keys, order, axis=0)
-    sg = g_sub[order]
-    sh = h_sub[order]
-    if any_missing:
-        finite = np.isfinite(sv)
-        sg[~finite] = 0.0
-        sh[~finite] = 0.0
-    cg = np.cumsum(sg, axis=0)
-    ch = np.cumsum(sh, axis=0)
-
-    # Split between sorted positions i-1 and i for i in 1..n-1, valid when
-    # both values are finite and distinct.
-    if any_missing:
-        valid = finite[1:] & (sv[1:] > sv[:-1])
-    else:
-        valid = sv[1:] > sv[:-1]
-    if not valid.any():
-        return None
-    gl_base = cg[:-1]
-    hl_base = ch[:-1]
-    parent = g_tot * g_tot / (h_tot + reg_lambda)
-
-    gains = _variant_gain(
-        gl_base, hl_base, g_tot, h_tot, parent, valid, reg_lambda, min_child_weight
-    )
-    if any_missing:
-        # Columns holding missing values get a second variant that routes
-        # them left; ties between variants default left.
-        g_missing = g_tot - cg[-1]
-        h_missing = h_tot - ch[-1]
-        cols = np.flatnonzero(g_missing != 0.0)
-        cols = np.union1d(cols, np.flatnonzero(h_missing != 0.0))
-        cols = np.union1d(cols, np.flatnonzero(nan_mask.any(axis=0)))
-        missing_left = np.zeros_like(gains, dtype=bool)
-        if cols.size:
-            gain_left = _variant_gain(
-                gl_base[:, cols] + g_missing[cols],
-                hl_base[:, cols] + h_missing[cols],
-                g_tot, h_tot, parent, valid[:, cols], reg_lambda, min_child_weight,
-            )
-            left_wins = gain_left >= gains[:, cols]      # tie -> default left
-            merged = np.where(left_wins, gain_left, gains[:, cols])
-            gains[:, cols] = merged
-            missing_left[:, cols] = left_wins
-        # Columns with no missing values behave identically either way;
-        # pin their default to left for determinism.
-        no_miss = np.ones(d, dtype=bool)
-        no_miss[cols] = False
-        missing_left[:, no_miss] = True
-    else:
-        missing_left = None
-
-    # First maximum in (feature, threshold) order for deterministic ties.
-    flat = np.argmax(gains.T)
-    f, i = divmod(int(flat), n - 1)
-    best_gain = float(gains[i, f])
-    if not np.isfinite(best_gain) or best_gain <= 0.0:
-        return None
-    return _Split(
-        feature=f,
-        threshold=float(0.5 * (sv[i + 1, f] + sv[i, f])),
-        missing_left=True if missing_left is None else bool(missing_left[i, f]),
-        gain=best_gain,
+    """Exact greedy split of X[rows]: the search that training runs, on a
+    fresh presort of X. A row listed k times counts as weight k."""
+    w = np.bincount(rows, minlength=X.shape[0])
+    members = np.flatnonzero(w)
+    cols = presort(X)
+    cols = _take(cols, (w > 0)[cols.rows], members.size)
+    gw, hw = w * g, w * h
+    return _search(
+        cols, gw, hw, float(gw[members].sum()), float(hw[members].sum()),
+        reg_lambda, min_child_weight,
     )
 
 
 def _build_tree(
     X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    rows: np.ndarray,
+    gw: np.ndarray,
+    hw: np.ndarray,
+    members: np.ndarray,
+    cols: SortedColumns | None,
     depth: int,
     params: GbtParams,
 ) -> TreeNode:
-    g_tot = float(g[rows].sum())
-    h_tot = float(h[rows].sum())
+    """Grow a node over its member rows (ascending). cols holds the same rows
+    presorted; it is None for a node at full depth, which never searches."""
+    g_tot = float(gw[members].sum())
+    h_tot = float(hw[members].sum())
     leaf_weight = -g_tot / (h_tot + params.reg_lambda)
-    if depth >= params.depth or rows.size < 2:
+    if depth >= params.depth or members.size < 2:
         return TreeNode(weight=leaf_weight)
-    split = _best_split(X, g, h, rows, params.reg_lambda, params.min_child_weight)
+    split = _search(cols, gw, hw, g_tot, h_tot, params.reg_lambda, params.min_child_weight)
     if split is None:
         return TreeNode(weight=leaf_weight)
-    v = X[rows, split.feature]
-    nan_mask = np.isnan(v)
-    go_left = np.where(nan_mask, split.missing_left, v < split.threshold)
-    left_rows = rows[go_left]
-    right_rows = rows[~go_left]
+    v = X[members, split.feature]
+    go_left = np.where(np.isnan(v), split.missing_left, v < split.threshold)
+    left, right = members[go_left], members[~go_left]
+    left_cols = right_cols = None
+    if depth + 1 < params.depth:
+        on_left = np.zeros(X.shape[0], dtype=bool)
+        on_left[left] = True
+        mask = on_left[cols.rows]
+        left_cols = _take(cols, mask, left.size)
+        right_cols = _take(cols, ~mask, right.size)
     return TreeNode(
         feature=split.feature,
         threshold=split.threshold,
         missing_left=split.missing_left,
         gain=split.gain,
-        left=_build_tree(X, g, h, left_rows, depth + 1, params),
-        right=_build_tree(X, g, h, right_rows, depth + 1, params),
+        left=_build_tree(X, gw, hw, left, left_cols, depth + 1, params),
+        right=_build_tree(X, gw, hw, right, right_cols, depth + 1, params),
     )
 
 
@@ -260,19 +340,35 @@ def _tree_values(node: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def train(data: Dataset, params: GbtParams | None = None) -> TrainedModel:
+def train(
+    data: Dataset,
+    params: GbtParams | None = None,
+    weights: np.ndarray | None = None,
+    sorted_columns: SortedColumns | None = None,
+) -> TrainedModel:
     """Fit the boosted ensemble on a Dataset.
 
+    weights: a non-negative integer per row (default 1). A row of weight k
+    counts as k copies of itself, and a row of weight 0 takes no part.
+    sorted_columns: presort(data.X), for callers that fit the same matrix
+    many times; sorted here when not given.
+
     Raises:
-        DegenerateLabels: only one class present.
+        DegenerateLabels: only one class among the weighted rows.
     """
     params = params or GbtParams()
     X, y = data.X, data.y.astype(float)
     n = X.shape[0]
-    if n < 2 or np.unique(data.y).size < 2:
+    w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
+    members = np.flatnonzero(w)
+    if np.unique(data.y[members]).size < 2:
         raise DegenerateLabels("training data must contain both classes")
+    if sorted_columns is None:
+        sorted_columns = presort(X)
+    if members.size < n:
+        sorted_columns = _take(sorted_columns, (w > 0)[sorted_columns.rows], members.size)
 
-    prior = float(y.mean())
+    prior = float(w @ y) / float(w.sum())
     base_score = float(np.log(prior / (1.0 - prior)))
     margin = np.full(n, base_score)
     rng = np.random.default_rng(params.seed)
@@ -283,16 +379,17 @@ def train(data: Dataset, params: GbtParams | None = None) -> TrainedModel:
         p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
+        rw, rows, cols = w, members, sorted_columns
         if params.subsample < 1.0:
-            rows = np.flatnonzero(rng.random(n) < params.subsample)
-            if rows.size == 0:
-                rows = np.arange(n)
-        else:
-            rows = np.arange(n)
-        tree = _build_tree(X, g, h, rows, 0, params)
+            # Each of a row's w copies is kept with probability subsample.
+            drawn = rng.binomial(w, params.subsample)
+            if drawn.any():
+                rw, rows = drawn, np.flatnonzero(drawn)
+                cols = _take(cols, (drawn > 0)[cols.rows], rows.size)
+        tree = _build_tree(X, rw * g, rw * h, rows, cols, 0, params)
         trees.append(tree)
         margin = margin + params.learning_rate * _tree_values(tree, X)
-        losses.append(_log_loss(y, _sigmoid(margin)))
+        losses.append(_log_loss(y, _sigmoid(margin), w))
 
     return TrainedModel(
         trees=trees,

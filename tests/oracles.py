@@ -340,3 +340,113 @@ def o_decompose_dense(
         "converged": converged,
         "iterations": iterations,
     }
+
+
+def o_train_duplicated(X, y, weights, depth: int, rounds: int, learning_rate: float,
+                       reg_lambda: float = 1.0, min_child_weight: float = 1.0):
+    """Reference boosted-tree learner: a row of weight k is k duplicated
+    rows, and every node argsorts every column of its rows afresh. Returns
+    (base_score, trees), each tree as nested dicts ({"weight"} for a leaf;
+    feature, threshold, missing_left, gain, left, right for a split).
+
+    Split search, gains, tie-breaks and leaf weights are the learner's
+    before it moved to one presort and row weights. A column with no
+    missing value among a node's rows keeps missing_left=True, as the split
+    rule specifies.
+    """
+    X = np.repeat(np.asarray(X, dtype=float), weights, axis=0)
+    y = np.repeat(np.asarray(y, dtype=float), weights)
+    n = X.shape[0]
+
+    def gain_of(gl, hl, g_tot, h_tot, parent, valid):
+        gr = g_tot - gl
+        hr = h_tot - hl
+        gain = gl * gl / (hl + reg_lambda)
+        gain += gr * gr / (hr + reg_lambda)
+        gain -= parent
+        gain *= 0.5
+        gain[~valid | (hl < min_child_weight) | (hr < min_child_weight)] = -np.inf
+        return gain
+
+    def best_split(g, h, rows):
+        sub = X[rows]
+        m, d = sub.shape
+        if m < 2:
+            return None
+        g_sub, h_sub = g[rows], h[rows]
+        g_tot, h_tot = float(g_sub.sum()), float(h_sub.sum())
+        nan_mask = np.isnan(sub)
+        keys = np.where(nan_mask, np.inf, sub)
+        order = np.argsort(keys, axis=0)
+        sv = np.take_along_axis(keys, order, axis=0)
+        finite = np.isfinite(sv)
+        sg = np.where(finite, g_sub[order], 0.0)
+        sh = np.where(finite, h_sub[order], 0.0)
+        cg = np.cumsum(sg, axis=0)
+        ch = np.cumsum(sh, axis=0)
+        valid = finite[1:] & (sv[1:] > sv[:-1])
+        if not valid.any():
+            return None
+        parent = g_tot * g_tot / (h_tot + reg_lambda)
+        gains = gain_of(cg[:-1], ch[:-1], g_tot, h_tot, parent, valid)
+        missing_left = np.ones_like(gains, dtype=bool)
+        cols = np.flatnonzero(nan_mask.any(axis=0))
+        if cols.size:
+            gain_left = gain_of(
+                cg[:-1, cols] + (g_tot - cg[-1, cols]),
+                ch[:-1, cols] + (h_tot - ch[-1, cols]),
+                g_tot, h_tot, parent, valid[:, cols],
+            )
+            left_wins = gain_left >= gains[:, cols]
+            gains[:, cols] = np.where(left_wins, gain_left, gains[:, cols])
+            missing_left[:, cols] = left_wins
+        f, i = divmod(int(np.argmax(gains.T)), m - 1)
+        best = float(gains[i, f])
+        if not np.isfinite(best) or best <= 0.0:
+            return None
+        return f, float(0.5 * (sv[i + 1, f] + sv[i, f])), bool(missing_left[i, f]), best
+
+    def route(tree, rows):
+        v = X[rows, tree["feature"]]
+        return np.where(np.isnan(v), tree["missing_left"], v < tree["threshold"])
+
+    def build(g, h, rows, level):
+        g_tot, h_tot = float(g[rows].sum()), float(h[rows].sum())
+        leaf = {"weight": -g_tot / (h_tot + reg_lambda)}
+        if level >= depth or rows.size < 2:
+            return leaf
+        split = best_split(g, h, rows)
+        if split is None:
+            return leaf
+        f, threshold, missing_left, gain = split
+        node = {"feature": f, "threshold": threshold, "missing_left": missing_left, "gain": gain}
+        go_left = route(node, rows)
+        node["left"] = build(g, h, rows[go_left], level + 1)
+        node["right"] = build(g, h, rows[~go_left], level + 1)
+        return node
+
+    def values(tree, rows):
+        if "feature" not in tree:
+            return np.full(rows.size, tree["weight"])
+        go_left = route(tree, rows)
+        out = np.empty(rows.size)
+        out[go_left] = values(tree["left"], rows[go_left])
+        out[~go_left] = values(tree["right"], rows[~go_left])
+        return out
+
+    prior = float(y.mean())
+    base_score = float(np.log(prior / (1.0 - prior)))
+    margin = np.full(n, base_score)
+    trees = []
+    for _ in range(rounds):
+        p = np.empty(n)
+        pos = margin >= 0
+        p[pos] = 1.0 / (1.0 + np.exp(-margin[pos]))
+        ez = np.exp(margin[~pos])
+        p[~pos] = ez / (1.0 + ez)
+        g = p - y
+        h = p * (1.0 - p)
+        tree = build(g, h, np.arange(n), 0)
+        trees.append(tree)
+        margin = margin + learning_rate * values(tree, np.arange(n))
+    return base_score, trees

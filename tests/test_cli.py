@@ -1,13 +1,31 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import physiobias
 from physiobias.cli import main
 from physiobias.dataset import from_csv
 from physiobias.ingest import assemble_session, load_labels, parse_e4_csv
 from physiobias.synth import RATES, SynthParams, generate_corpus
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Only the EDA solve needs scipy; evaluate, smooth and synth must not
+    # pay for importing it.
+    code = ("import sys, physiobias.cli; "
+            "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
+    src = str(Path(physiobias.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +147,12 @@ class TestExtract:
         assert [(s["converged"], s["iterations"]) for s in sessions] == [(False, 5)] * 6
         assert from_csv(tmp_path / "features.csv").n_rows == 6 * 12
 
+    def test_invalid_solver_flag_is_fatal_with_reason(self, corpus, tmp_path, capsys):
+        rc = run_extract(corpus, tmp_path, ("--decomp-max-iter", "0"))
+        assert rc == 2
+        assert "error: max_iter must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "features.csv").exists()
+
     def test_fractional_window_samples_skip_every_session(self, corpus, tmp_path, capsys):
         # 2.5 s is 2.5 samples of the 1 Hz HR channel: no session can be
         # windowed without misaligning HR against the other channels.
@@ -185,6 +209,21 @@ class TestEvaluateCommand:
         assert main(base + ["--out", str(tmp_path / "p"), "--folds-parallel", "2"]) == 0
         assert (tmp_path / "s" / "report.json").read_bytes() == \
                (tmp_path / "p" / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--depth", "0", "depth must be >= 1"),
+        ("--learning-rate", "2", "learning_rate must be in (0, 1]"),
+        ("--top-n", "0", "top_n must be >= 1"),
+        ("--top-n", "-1", "top_n must be >= 1"),
+    ])
+    def test_invalid_model_flag_is_fatal_with_reason(
+        self, features_csv, tmp_path, capsys, flag, value, reason
+    ):
+        rc = main(["evaluate", "--features", str(features_csv), "--rounds", "2",
+                   "--out", str(tmp_path / "out"), flag, value])
+        assert rc == 2
+        assert f"error: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_missing_features_file(self, tmp_path):
         rc = main(["evaluate", "--features", str(tmp_path / "nope.csv"),

@@ -4,7 +4,7 @@ from scipy.stats import mannwhitneyu
 
 import oracles
 from conftest import make_dataset
-from physiobias.errors import DegenerateLabels, InsufficientData
+from physiobias.errors import DegenerateLabels, InsufficientData, ParamError
 from physiobias.evaluation import (
     aggregate_importance,
     evaluate,
@@ -12,6 +12,7 @@ from physiobias.evaluation import (
     lopo_folds,
     mann_whitney_u,
     oversample,
+    oversample_weights,
 )
 from physiobias.gbt import GbtParams
 
@@ -99,6 +100,18 @@ class TestOversample:
         data = make_dataset(np.zeros((4, 2)), np.ones(4, int))
         with pytest.raises(DegenerateLabels):
             oversample(data, seed=0)
+
+    def test_rows_expand_the_weights(self):
+        rng = np.random.default_rng(4)
+        data = make_dataset(rng.normal(size=(40, 2)),
+                            np.r_[np.ones(28, int), np.zeros(12, int)])
+        weights = oversample_weights(data.y, seed=5)
+        assert weights.sum() == 56
+        assert np.all(weights[data.y == 1] == 1) and np.all(weights >= 1)
+        out = oversample(data, seed=5)
+        np.testing.assert_array_equal(
+            out.X, data.X[np.r_[np.arange(40), np.repeat(np.arange(40), weights - 1)]]
+        )
 
 
 class TestMannWhitney:
@@ -237,3 +250,30 @@ class TestEvaluate:
         for fold in report.folds:
             assert fold.window_indices.tolist() == sorted(fold.window_indices.tolist())
             assert len(fold.predicted) == 4
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_feature_matrix_sorted_once(self, monkeypatch, n_jobs):
+        # Every fold and node filters one presort of the whole matrix. A
+        # second argsort of a 2-D array fails the run, in a worker too:
+        # workers fork after the presort and inherit the counter.
+        data = participant_dataset(n_biased=4, n_unbiased=3, windows=6, seed=12, shift=1.0)
+        data.X[::5, 1] = np.nan
+        calls = []
+        argsort = np.argsort
+
+        def counting_argsort(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append(np.shape(a))
+                assert len(calls) == 1, "feature matrix sorted again"
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        report = evaluate(data, GbtParams(depth=3, rounds=4, learning_rate=0.3),
+                          seed=6, n_jobs=n_jobs)
+        assert calls == [(data.X.shape[1], data.n_rows)]
+        assert report.n_participants == 7
+
+    def test_top_n_below_one_rejected(self):
+        data = participant_dataset()
+        with pytest.raises(ParamError, match="top_n"):
+            evaluate(data, GbtParams(depth=1, rounds=1), top_n=0)

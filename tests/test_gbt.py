@@ -143,6 +143,118 @@ def _argmax_candidates(X, g, h, n, d, best_gain):
     return out
 
 
+def _weighted_data(seed, n=600):
+    """Seeded rows with missing values in two columns, tied values in one,
+    a label driven by two columns, and integer row weights 0-3."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 5))
+    X[:, 1] = np.round(X[:, 1] * 2) / 2
+    y = (X[:, 0] + 0.8 * X[:, 2] + rng.normal(0, 0.7, n) > 0).astype(int)
+    X[rng.random(n) < 0.15, 0] = np.nan
+    X[rng.random(n) < 0.25, 3] = np.nan
+    weights = rng.integers(0, 4, n)
+    return make_dataset(X, y), weights
+
+
+def _assert_same_trees(got, want):
+    """Same features and default branches; thresholds, gains and leaf
+    weights within 1e-12 relative, round by round.
+
+    Splits that tie in exact arithmetic are the exception. They are common
+    in round one, whose gradients take two values, so that splits with the
+    same weighted label mix have the same gain, and rounding picks among
+    them, differently for two learners that sum in different orders. Where
+    the two pick different splits, their gains must agree within 1e-12
+    relative; the ensembles part there, so the comparison ends.
+    """
+    assert len(got) == len(want)
+    for tree_got, tree_want in zip(got, want):
+        stack = [(tree_got, tree_want)]
+        while stack:
+            a, b = stack.pop()
+            assert ("feature" in a) == ("feature" in b)
+            if "feature" not in b:
+                assert a["weight"] == pytest.approx(b["weight"], rel=1e-12)
+                continue
+            assert a["gain"] == pytest.approx(b["gain"], rel=1e-12)
+            if (a["feature"], a["missing_left"]) != (b["feature"], b["missing_left"]) or \
+                    a["threshold"] != pytest.approx(b["threshold"], rel=1e-12):
+                return
+            stack += [(a["right"], b["right"]), (a["left"], b["left"])]
+
+
+def _trees(model):
+    return [gbt._node_to_dict(t) for t in model.trees]
+
+
+class TestRowWeights:
+    """Weighted training on one presort equals the learner on duplicated
+    rows with a fresh argsort per node. The data keep dozens of rows per
+    node (600 rows, min_child_weight 5), so that most of each ensemble is
+    compared before a tie (see _assert_same_trees) can end a comparison."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_duplicated_rows_oracle(self, seed, depth):
+        data, weights = _weighted_data(seed)
+        params = GbtParams(depth=depth, rounds=4, learning_rate=0.3, min_child_weight=5.0)
+        model = train(data, params, weights)
+        base_score, trees = oracles.o_train_duplicated(
+            data.X, data.y, weights, depth=depth, rounds=4, learning_rate=0.3,
+            min_child_weight=5.0,
+        )
+        assert model.base_score == base_score
+        _assert_same_trees(_trees(model), trees)
+
+    def test_weight_k_equals_k_copies(self):
+        data, weights = _weighted_data(11)
+        params = GbtParams(depth=3, rounds=5, learning_rate=0.3, min_child_weight=5.0)
+        weighted = train(data, params, weights)
+        copies = train(data.subset(np.repeat(np.arange(data.n_rows), weights)), params)
+        assert weighted.base_score == copies.base_score
+        _assert_same_trees(_trees(weighted), _trees(copies))
+        np.testing.assert_allclose(weighted.train_losses, copies.train_losses, rtol=1e-12)
+
+    def test_weight_zero_equals_removing_the_row(self):
+        data, weights = _weighted_data(12)
+        params = GbtParams(depth=3, rounds=5, learning_rate=0.3, min_child_weight=5.0)
+        kept = weights > 0
+        weighted = train(data, params, weights)
+        removed = train(data.subset(np.flatnonzero(kept)), params, weights[kept])
+        assert weighted.base_score == removed.base_score
+        _assert_same_trees(_trees(weighted), _trees(removed))
+        np.testing.assert_array_equal(
+            predict_proba_matrix(weighted, data.X), predict_proba_matrix(removed, data.X)
+        )
+
+    def test_nan_free_column_defaults_left(self):
+        # Column 0 holds missing values, the others none. With continuous
+        # gradients, a NaN-free column's prefix sums end a rounding error
+        # away from the node total; that error must not pick its default.
+        chosen = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = 80
+            X = rng.normal(size=(n, 3))
+            X[rng.random(n) < 0.3, 0] = np.nan
+            g = rng.normal(size=n)
+            h = rng.uniform(0.1, 1.0, n)
+            split = gbt._best_split(X, g, h, np.arange(n), 1.0, 0.1)
+            if split is not None and split.feature != 0:
+                chosen += 1
+                assert split.missing_left
+        assert chosen >= 10
+        data, weights = _weighted_data(13)
+        model = train(data, GbtParams(depth=4, rounds=10, learning_rate=0.3), weights)
+        stack = list(model.trees)
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                if node.feature not in (0, 3):
+                    assert node.missing_left
+                stack += [node.left, node.right]
+
+
 class TestPredict:
     def test_zero_trees_prior(self):
         data = xor_dataset()
