@@ -5,7 +5,7 @@ cross-validation, and run-merging label smoothing."""
 __version__ = "0.1.0"
 
 from .dataset import Dataset, from_csv
-from .eda import DecompParams, EdaComponents, bateman_kernel, decompose, window_components
+from .eda import DecompParams, EdaComponents, bateman_kernel, decompose
 from .errors import (
     DegenerateLabels,
     EmptySignal,
@@ -31,7 +31,6 @@ from .evaluation import (
 from .features import (
     FEATURE_COLUMNS,
     RRSeries,
-    WindowFeatureVector,
     build_feature_matrix,
     detect_beats,
     eda_extra_features,
@@ -40,15 +39,13 @@ from .features import (
     feature_columns,
     hrv_features,
     stat_features,
-    window_features,
+    window_feature_matrix,
 )
 from .gbt import (
     GbtParams,
     TrainedModel,
     importance,
-    load_model,
-    predict_proba,
-    save_model,
+    predict_proba_matrix,
     train,
 )
 from .ingest import (
@@ -61,7 +58,7 @@ from .ingest import (
     parse_e4_csv,
     write_e4_csv,
 )
-from .signals import Signal, TriaxialSignal, Window, magnitude, partition_windows
+from .signals import Signal, TriaxialSignal, magnitude, window_matrices
 from .smoothing import (
     RunBlock,
     final_label,

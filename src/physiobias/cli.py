@@ -1,7 +1,8 @@
 """Command-line orchestration: synth -> extract -> evaluate -> report.
 
-Every output embeds the configuration, the seed and the tool version, and
-carries no timestamps, so a rerun with the same flags is byte-identical.
+Every output embeds the configuration (with the seed, for the commands that
+draw random numbers) and the tool version, and carries no timestamps, so a
+rerun with the same flags is byte-identical.
 Exit codes: 0 success, 1 partial failure (some sessions skipped), 2 fatal.
 `extract` also writes extract_diagnostics.json (per session: EDA solver
 convergence, iterations, residual RMS and window count) and warns on stderr
@@ -79,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--window-seconds", type=float, default=5.0)
     p_ext.add_argument("--min-duration", type=float, default=MIN_SESSION_SECONDS)
     p_ext.add_argument("--debug-eda", action="store_true", help="dump per-session decompositions")
-    p_ext.add_argument("--seed", type=int, default=0)
     _add_decomp_flags(p_ext)
 
     p_eval = sub.add_parser("evaluate", help="features.csv -> report.json + tables")
@@ -147,7 +147,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         "window_seconds": args.window_seconds,
         "min_duration": args.min_duration,
         "decomposition": dataclasses.asdict(decomp),
-        "seed": args.seed,
     }
     meta = _meta("extract", config)
 
@@ -157,16 +156,16 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     for session_dir in session_dirs:
         try:
             session = assemble_session(session_dir, labels, min_duration=args.min_duration)
-            vectors, components = extract_session_features(
+            matrix, components = extract_session_features(
                 session, decomp, window_seconds=args.window_seconds
             )
-            extracted.append((session.participant_id, int(session.label.value), vectors))
+            extracted.append((session.participant_id, int(session.label.value), matrix))
             diagnostics.append({
                 "participant": session.participant_id,
                 "converged": components.converged,
                 "iterations": components.iterations,
                 "residual_rms": components.residual_rms,
-                "windows": len(vectors),
+                "windows": len(matrix),
             })
             if not components.converged:
                 print(f"warning: {session.participant_id}: EDA decomposition did not "
@@ -277,7 +276,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_smooth(args: argparse.Namespace) -> int:
-    text = args.input.read_text() if args.input else sys.stdin.read()
+    try:
+        text = args.input.read_text() if args.input else sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read the sequence: {exc}", file=sys.stderr)
+        return 2
     tokens = [ch for ch in text if ch in "01"]
     if not tokens:
         print("error: no 0/1 labels found in input", file=sys.stderr)
@@ -291,27 +294,36 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        doc = json.loads(args.report.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _report_lines(doc: dict) -> list[str]:
     pm = doc["participant_metrics"]
-    print(f"participants: {doc['n_participants']}   baseline: {doc['baseline']:.3f}")
-    print(f"participant accuracy: {pm['accuracy']:.3f}")
+    lines = [
+        f"participants: {doc['n_participants']}   baseline: {doc['baseline']:.3f}",
+        f"participant accuracy: {pm['accuracy']:.3f}",
+    ]
     for cls in ("1", "0"):
         m = pm["per_class"][cls]
         name = "biased" if cls == "1" else "unbiased"
-        print(f"  {name:<9} precision {m['precision']:.3f}  recall {m['recall']:.3f}  f1 {m['f1']:.3f}")
-    wm = doc["window_metrics"]
-    print(f"window accuracy: {wm['accuracy']:.3f}")
+        lines.append(f"  {name:<9} precision {m['precision']:.3f}  recall {m['recall']:.3f}  f1 {m['f1']:.3f}")
+    lines.append(f"window accuracy: {doc['window_metrics']['accuracy']:.3f}")
     if doc.get("end_fraction") is not None:
-        print(f"majority window at end (correct biased): {doc['end_fraction']:.3f}")
+        lines.append(f"majority window at end (correct biased): {doc['end_fraction']:.3f}")
     reported = doc.get("importance_reported", [])
-    print(f"features above importance threshold ({doc['importance_threshold']:g}): {len(reported)}")
-    for name in reported[:15]:
-        print(f"  {name} ({doc['importance_counts'][name]} folds)")
+    lines.append(f"features above importance threshold ({doc['importance_threshold']:g}): {len(reported)}")
+    lines += [f"  {name} ({doc['importance_counts'][name]} folds)" for name in reported[:15]]
+    return lines
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    try:
+        lines = _report_lines(json.loads(args.report.read_text()))
+    except (OSError, ValueError) as exc:  # includes undecodable bytes and bad JSON
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (KeyError, TypeError) as exc:
+        print(f"error: {args.report}: not a physiobias report "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 

@@ -82,7 +82,12 @@ class Dataset:
 
 
 def from_csv(path: str | Path) -> Dataset:
-    """Read a feature matrix written by Dataset.to_csv."""
+    """Read a feature matrix written by Dataset.to_csv.
+
+    Raises:
+        ValueError: a malformed file, or a participant whose windows carry
+            both labels.
+    """
     path = Path(path)
     lines = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
     if not lines:
@@ -92,13 +97,18 @@ def from_csv(path: str | Path) -> Dataset:
         raise ValueError(f"{path}: unexpected header {header[:3]}")
     columns = header[3:]
     pids, widx, labels, rows = [], [], [], []
+    label_of: dict[str, int] = {}
     for ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}: row width {len(cells)} != header width {len(header)}")
+        label = int(cells[2])
+        if label_of.setdefault(cells[0], label) != label:
+            raise ValueError(f"{path}: participant {cells[0]!r} has windows labelled "
+                             f"{label_of[cells[0]]} and {label}")
         pids.append(cells[0])
         widx.append(int(cells[1]))
-        labels.append(int(cells[2]))
+        labels.append(label)
         rows.append([float(c) if c else np.nan for c in cells[3:]])
     return Dataset(
         X=np.asarray(rows, dtype=float).reshape(len(rows), len(columns)),

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InsufficientData, ParamError
-from .signals import Signal, samples_per_window
+from .signals import Signal
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
@@ -143,7 +143,7 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
     """Split a full-session EDA signal into tonic, phasic and driver parts.
 
     Runs on the whole session (a 5 s window cannot support the tonic spline);
-    window the components afterwards with window_components().
+    the features window the components afterwards.
 
     Raises:
         InsufficientData: signal shorter than 4 knot spacings.
@@ -248,29 +248,6 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
         iterations=iterations,
         objective_trace=np.asarray(trace),
     )
-
-
-def window_components(
-    components: EdaComponents,
-    window_seconds: float = 5.0,
-    n_windows: int | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Slice tonic and phasic series into per-window pairs, using the same
-    arithmetic as signal windowing."""
-    rate = components.tonic.rate
-    spw = samples_per_window(rate, window_seconds)
-    available = components.tonic.samples.size // spw
-    if n_windows is None:
-        n_windows = available
-    if n_windows > available:
-        raise InsufficientData(
-            f"components cover {available} windows, {n_windows} requested"
-        )
-    out = []
-    for k in range(n_windows):
-        sl = slice(k * spw, (k + 1) * spw)
-        out.append((components.tonic.samples[sl], components.phasic.samples[sl]))
-    return out
 
 
 def dump_components_csv(

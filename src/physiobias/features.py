@@ -1,9 +1,14 @@
-"""Per-window feature extraction across the seven feature signals.
+"""Window features across the seven feature signals, one matrix per session.
 
 Signals: eda, eda_tonic, eda_phasic, bvp, hr, skt, magnitude. Every signal
 gets the nine statistical features; eda/eda_tonic/eda_phasic/bvp add six
 waveform features; the three EDA signals add auc and max_peak; bvp adds the
 nine beat-derived features. That yields the fixed 102-column vocabulary.
+
+Each feature group is one function from a signal's (n_windows, samples per
+window) matrix to its feature columns, reducing along axis 1; the per-slice
+functions (`stat_features`, ...) are their one-row case. Only beat
+detection runs window by window, because its refractory rule is sequential.
 
 Conventions (pinned so the brute-force oracle can match exactly):
   - std/var/skewness/kurtosis use population moments; kurtosis is excess.
@@ -15,6 +20,7 @@ Conventions (pinned so the brute-force oracle can match exactly):
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +29,7 @@ from .dataset import Dataset
 from .eda import DecompParams, EdaComponents, decompose
 from .errors import InsufficientData
 from .ingest import RawSession
-from .signals import Window, magnitude, partition_windows, samples_per_window
+from .signals import magnitude, samples_per_window, window_matrices
 
 STAT_FEATURES = (
     "max", "min", "median", "mean", "std", "var",
@@ -48,32 +54,6 @@ BEAT_REFRACTORY_SECONDS = 0.3
 BEAT_THRESHOLD_FRACTION = 0.3
 
 
-def feature_columns() -> list[str]:
-    """The fixed, ordered feature vocabulary (102 names)."""
-    cols: list[str] = []
-    for sig in FEATURE_SIGNALS:
-        cols += [f"{sig}_{name}" for name in STAT_FEATURES]
-        if sig in EXTRA_SIGNALS:
-            cols += [f"{sig}_{name}" for name in EXTRA_FEATURES]
-        if sig in AUC_SIGNALS:
-            cols += [f"{sig}_{name}" for name in EDA_FEATURES]
-        if sig == "bvp":
-            cols += [f"bvp_{name}" for name in BEAT_FEATURES]
-    return cols
-
-
-FEATURE_COLUMNS = feature_columns()
-
-
-@dataclass
-class WindowFeatureVector:
-    """Named feature values for one window; NaN marks a missing value."""
-
-    participant_id: str
-    window_index: int
-    features: dict[str, float]
-
-
 @dataclass
 class RRSeries:
     """Inter-beat intervals (ms) and the peaks they came from."""
@@ -92,70 +72,94 @@ class RRSeries:
             raise ValueError("intervals outside the physiological gate")
 
 
-def _strict_peak_indices(x: np.ndarray) -> np.ndarray:
-    """Indices of samples strictly greater than both neighbors."""
-    if x.size < 3:
-        return np.empty(0, dtype=int)
-    return np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:])) + 1
+def _peak_mask(x: np.ndarray) -> np.ndarray:
+    """True at the interior samples (along the last axis) that are strictly
+    greater than both neighbors."""
+    mid = x[..., 1:-1]
+    return (mid > x[..., :-2]) & (mid > x[..., 2:])
+
+
+def _one_row(columns, names: tuple[str, ...], x: np.ndarray, rate: float) -> dict[str, float]:
+    """A feature group's columns for a single slice, by name."""
+    row = columns(np.asarray(x, dtype=float)[None, :], rate)[0]
+    return dict(zip(names, row.tolist()))
+
+
+def stat_columns(X: np.ndarray, rate: float) -> np.ndarray:
+    """The nine statistical features of each row of X, as (n, 9) columns in
+    STAT_FEATURES order. `rate` is unused here; the signature is shared with
+    the other feature groups."""
+    if X.shape[1] < 2:
+        raise InsufficientData(f"need >= 2 samples for statistics, got {X.shape[1]}")
+    q1, q3 = np.percentile(X, [25.0, 75.0], axis=1)
+    mean = X.mean(axis=1)
+    dx = np.diff(X, axis=1)
+    return np.column_stack([
+        X.max(axis=1),
+        X.min(axis=1),
+        np.median(X, axis=1),
+        mean,
+        X.std(axis=1),
+        X.var(axis=1),
+        q3 - q1,
+        np.abs(X - mean[:, None]).mean(axis=1),
+        np.sqrt(1.0 + dx * dx).sum(axis=1),
+    ])
+
+
+def extra_columns(X: np.ndarray, rate: float) -> np.ndarray:
+    """Waveform features of each row, (n, 6) in EXTRA_FEATURES order;
+    skewness/kurtosis are NaN on zero variance."""
+    n = X.shape[1]
+    if n < 4:
+        raise InsufficientData(f"need >= 4 samples for waveform features, got {n}")
+    dev = X - X.mean(axis=1, keepdims=True)
+    m2 = (dev * dev).mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kurtosis = (dev ** 4).mean(axis=1) / (m2 * m2) - 3.0
+        # float_power rounds like Python's float **; the array ** operator
+        # differs from it in the last bit on some values.
+        skewness = (dev ** 3).mean(axis=1) / np.float_power(m2, 1.5)
+    flat = m2 == 0.0
+    kurtosis[flat] = np.nan
+    skewness[flat] = np.nan
+    spectrum = np.abs(np.fft.rfft(X, axis=1)) ** 2 / (n * rate)
+    return np.column_stack([
+        np.sqrt((X * X).mean(axis=1)),
+        kurtosis,
+        skewness,
+        np.sum(X[:, :-1] * X[:, 1:] < 0, axis=1),
+        spectrum[:, 1:].max(axis=1),
+        _peak_mask(X).sum(axis=1),
+    ])
+
+
+def eda_extra_columns(X: np.ndarray, rate: float) -> np.ndarray:
+    """Trapezoid area (sample spacing 1/rate) and the largest strict peak of
+    each row, (n, 2); max_peak is NaN for a row without a peak."""
+    if X.shape[1] < 2:
+        raise InsufficientData(f"need >= 2 samples for auc, got {X.shape[1]}")
+    peaks = _peak_mask(X)
+    max_peak = np.where(peaks, X[:, 1:-1], -np.inf).max(axis=1, initial=-np.inf)
+    max_peak[~peaks.any(axis=1)] = np.nan
+    return np.column_stack([np.trapezoid(X, dx=1.0 / rate, axis=1), max_peak])
 
 
 def stat_features(x: np.ndarray, rate: float) -> dict[str, float]:
-    """The nine statistical features. `rate` is unused here; the signature is
-    shared with the other per-slice feature functions."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise InsufficientData(f"need >= 2 samples for statistics, got {x.size}")
-    q1, q3 = np.percentile(x, [25.0, 75.0])
-    mean = float(x.mean())
-    dx = np.diff(x)
-    return {
-        "max": float(x.max()),
-        "min": float(x.min()),
-        "median": float(np.median(x)),
-        "mean": mean,
-        "std": float(x.std()),
-        "var": float(x.var()),
-        "interq_range": float(q3 - q1),
-        "mean_abs_dev": float(np.abs(x - mean).mean()),
-        "distance": float(np.sqrt(1.0 + dx * dx).sum()),
-    }
+    """The nine statistical features of one slice."""
+    return _one_row(stat_columns, STAT_FEATURES, x, rate)
 
 
 def extra_features(x: np.ndarray, rate: float) -> dict[str, float]:
-    """Waveform features; skewness/kurtosis are NaN on zero variance."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n < 4:
-        raise InsufficientData(f"need >= 4 samples for waveform features, got {n}")
-    dev = x - x.mean()
-    m2 = float((dev * dev).mean())
-    if m2 == 0.0:
-        kurtosis = np.nan
-        skewness = np.nan
-    else:
-        kurtosis = float((dev ** 4).mean() / (m2 * m2) - 3.0)
-        skewness = float((dev ** 3).mean() / m2 ** 1.5)
-    spectrum = np.abs(np.fft.rfft(x)) ** 2 / (n * rate)
-    return {
-        "rms": float(np.sqrt((x * x).mean())),
-        "kurtosis": kurtosis,
-        "skewness": skewness,
-        "zero_cross": float(np.sum(x[:-1] * x[1:] < 0)),
-        "power_spec": float(spectrum[1:].max()),
-        "num_peaks": float(_strict_peak_indices(x).size),
-    }
+    """Waveform features of one slice; skewness/kurtosis are NaN on zero
+    variance."""
+    return _one_row(extra_columns, EXTRA_FEATURES, x, rate)
 
 
 def eda_extra_features(x: np.ndarray, rate: float) -> dict[str, float]:
-    """Trapezoid area (sample spacing 1/rate) and the largest strict peak."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        raise InsufficientData(f"need >= 2 samples for auc, got {x.size}")
-    peaks = _strict_peak_indices(x)
-    return {
-        "auc": float(np.trapezoid(x, dx=1.0 / rate)),
-        "max_peak": float(x[peaks].max()) if peaks.size else np.nan,
-    }
+    """Trapezoid area (sample spacing 1/rate) and the largest strict peak of
+    one slice."""
+    return _one_row(eda_extra_columns, EDA_FEATURES, x, rate)
 
 
 def detect_beats(bvp: np.ndarray, rate: float) -> RRSeries:
@@ -172,7 +176,7 @@ def detect_beats(bvp: np.ndarray, rate: float) -> RRSeries:
     if bvp.size < rate:
         raise InsufficientData("need at least 1 s of BVP samples")
     threshold = bvp.mean() + BEAT_THRESHOLD_FRACTION * (bvp.max() - bvp.mean())
-    candidates = [i for i in _strict_peak_indices(bvp) if bvp[i] > threshold]
+    candidates = [i for i in np.flatnonzero(_peak_mask(bvp)) + 1 if bvp[i] > threshold]
     accepted: list[int] = []
     for i in candidates:
         if not accepted or (i - accepted[-1]) / rate >= BEAT_REFRACTORY_SECONDS:
@@ -238,45 +242,69 @@ def hrv_features(rr: RRSeries) -> dict[str, float]:
     return out
 
 
-def window_features(window: Window) -> WindowFeatureVector:
-    """Compute the full 102-feature vector for one window."""
-    values: dict[str, float] = {}
-    for sig in FEATURE_SIGNALS:
-        if sig not in window.channels:
-            raise ValueError(f"window is missing channel {sig!r}")
-        x = window.channels[sig]
-        rate = window.rates[sig]
-        for name, v in stat_features(x, rate).items():
-            values[f"{sig}_{name}"] = v
-        if sig in EXTRA_SIGNALS:
-            for name, v in extra_features(x, rate).items():
-                values[f"{sig}_{name}"] = v
-        if sig in AUC_SIGNALS:
-            for name, v in eda_extra_features(x, rate).items():
-                values[f"{sig}_{name}"] = v
-        if sig == "bvp":
-            rr = detect_beats(x, rate)
-            for name, v in hrv_features(rr).items():
-                values[f"bvp_{name}"] = v
-    ordered = {name: values[name] for name in FEATURE_COLUMNS}
-    return WindowFeatureVector(
-        participant_id=window.participant_id,
-        window_index=window.index,
-        features=ordered,
-    )
+def beat_columns(X: np.ndarray, rate: float) -> np.ndarray:
+    """Beat-derived features of each row of a BVP matrix, (n, 9) in
+    BEAT_FEATURES order; detection runs row by row."""
+    rows = [list(hrv_features(detect_beats(x, rate)).values()) for x in X]
+    return np.asarray(rows, dtype=float).reshape(len(rows), len(BEAT_FEATURES))
+
+
+def _feature_groups(sig: str) -> list[tuple[tuple[str, ...], Callable]]:
+    """The feature groups of one signal, in column order: each group's
+    feature names and the function that computes its columns."""
+    groups = [(STAT_FEATURES, stat_columns)]
+    if sig in EXTRA_SIGNALS:
+        groups.append((EXTRA_FEATURES, extra_columns))
+    if sig in AUC_SIGNALS:
+        groups.append((EDA_FEATURES, eda_extra_columns))
+    if sig == "bvp":
+        groups.append((BEAT_FEATURES, beat_columns))
+    return groups
+
+
+def feature_columns() -> list[str]:
+    """The fixed, ordered feature vocabulary (102 names)."""
+    return [
+        f"{sig}_{name}"
+        for sig in FEATURE_SIGNALS
+        for names, _ in _feature_groups(sig)
+        for name in names
+    ]
+
+
+FEATURE_COLUMNS = feature_columns()
+
+
+def window_feature_matrix(
+    windows: dict[str, np.ndarray], rates: dict[str, float]
+) -> np.ndarray:
+    """The (n_windows, 102) features of one session, in FEATURE_COLUMNS order.
+
+    windows maps every feature signal to its (n_windows, samples per window)
+    matrix (see signals.window_matrices); rates maps it to its rate in Hz.
+    """
+    missing = [sig for sig in FEATURE_SIGNALS if sig not in windows]
+    if missing:
+        raise ValueError(f"no windows for channel(s) {missing}")
+    return np.hstack([
+        columns(windows[sig], rates[sig])
+        for sig in FEATURE_SIGNALS
+        for _, columns in _feature_groups(sig)
+    ])
 
 
 def extract_session_features(
     session: RawSession,
     decomp_params: DecompParams | None = None,
     window_seconds: float = 5.0,
-) -> tuple[list[WindowFeatureVector], EdaComponents]:
+) -> tuple[np.ndarray, EdaComponents]:
     """Decompose the session's EDA, window all seven signals, and compute
-    per-window feature vectors.
+    the session's (n_windows, 102) feature matrix.
 
     Raises:
         ParamError: window_seconds is not a whole number of samples on some
             channel; checked before the decomposition is paid for.
+        InsufficientData: a window holds too few samples for a feature.
     """
     for sig in session.channels().values():
         samples_per_window(sig.rate, window_seconds)
@@ -290,33 +318,23 @@ def extract_session_features(
         "skt": session.skt,
         "magnitude": magnitude(session.acc),
     }
-    windows = partition_windows(channels, session.participant_id, window_seconds)
-    return [window_features(w) for w in windows], components
+    windows = window_matrices(channels, window_seconds)
+    rates = {name: s.rate for name, s in channels.items()}
+    return window_feature_matrix(windows, rates), components
 
 
-def build_feature_matrix(
-    sessions: list[tuple[str, int, list[WindowFeatureVector]]],
-) -> Dataset:
-    """Assemble one Dataset row per window across sessions.
+def build_feature_matrix(sessions: list[tuple[str, int, np.ndarray]]) -> Dataset:
+    """Stack the sessions' feature matrices into one Dataset row per window.
 
     Args:
-        sessions: (participant_id, label, feature vectors) triples.
+        sessions: one or more (participant_id, label, (n_windows, 102)
+            feature matrix) triples.
     """
-    pids: list[str] = []
-    widx: list[int] = []
-    labels: list[int] = []
-    rows: list[list[float]] = []
-    for participant_id, label, vectors in sessions:
-        for vec in vectors:
-            pids.append(participant_id)
-            widx.append(vec.window_index)
-            labels.append(int(label))
-            rows.append([vec.features[name] for name in FEATURE_COLUMNS])
-    X = np.asarray(rows, dtype=float).reshape(len(rows), len(FEATURE_COLUMNS))
+    counts = [len(matrix) for _, _, matrix in sessions]
     return Dataset(
-        X=X,
-        y=np.asarray(labels, dtype=int),
-        participant_ids=np.asarray(pids, dtype=object),
-        window_indices=np.asarray(widx, dtype=int),
+        X=np.vstack([matrix for _, _, matrix in sessions]),
+        y=np.repeat([int(label) for _, label, _ in sessions], counts),
+        participant_ids=np.repeat(np.array([pid for pid, _, _ in sessions], dtype=object), counts),
+        window_indices=np.concatenate([np.arange(n) for n in counts]),
         column_names=list(FEATURE_COLUMNS),
     )

@@ -20,9 +20,7 @@ weight 0 like no row at all.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -418,16 +416,6 @@ def predict_proba_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return _sigmoid(predict_margin(model, X))
 
 
-def predict_proba(model: TrainedModel, row: np.ndarray) -> float:
-    """Probability of class 1 for a single feature vector."""
-    row = np.asarray(row, dtype=float)
-    if row.ndim != 1 or row.size != model.n_features:
-        raise ShapeError(
-            f"expected a row of width {model.n_features}, got shape {row.shape}"
-        )
-    return float(predict_proba_matrix(model, row[None, :])[0])
-
-
 def importance(model: TrainedModel) -> dict[str, float]:
     """Total split gain per feature, normalized to sum 1. Empty when the
     ensemble never split."""
@@ -462,44 +450,3 @@ def _node_to_dict(node: TreeNode) -> dict:
         "left": _node_to_dict(node.left),
         "right": _node_to_dict(node.right),
     }
-
-
-def _node_from_dict(d: dict) -> TreeNode:
-    if "feature" not in d:
-        return TreeNode(weight=d["weight"])
-    return TreeNode(
-        feature=d["feature"],
-        threshold=d["threshold"],
-        missing_left=d["missing_left"],
-        gain=d["gain"],
-        left=_node_from_dict(d["left"]),
-        right=_node_from_dict(d["right"]),
-    )
-
-
-def save_model(model: TrainedModel, path: str | Path) -> None:
-    """Serialize to a self-describing JSON document."""
-    doc = {
-        "format": "physiobias-gbt-v1",
-        "base_score": model.base_score,
-        "learning_rate": model.learning_rate,
-        "column_names": model.column_names,
-        "params": vars(model.params),
-        "train_losses": model.train_losses,
-        "trees": [_node_to_dict(t) for t in model.trees],
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
-
-
-def load_model(path: str | Path) -> TrainedModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "physiobias-gbt-v1":
-        raise ValueError(f"{path}: not a physiobias model file")
-    return TrainedModel(
-        trees=[_node_from_dict(t) for t in doc["trees"]],
-        learning_rate=doc["learning_rate"],
-        base_score=doc["base_score"],
-        column_names=doc["column_names"],
-        params=GbtParams(**doc["params"]),
-        train_losses=list(doc["train_losses"]),
-    )

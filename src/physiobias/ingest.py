@@ -109,7 +109,8 @@ def parse_e4_csv(
         Signal for single-column channels, TriaxialSignal for ACC.
 
     Raises:
-        ParseError: malformed header or non-numeric row (with line number).
+        ParseError: unreadable or undecodable file, malformed header or
+            non-numeric row (with line number).
         EmptySignal: header present but no data rows.
     """
     path = Path(path)
@@ -118,7 +119,10 @@ def parse_e4_csv(
         raise ValueError(f"unknown channel {channel!r}")
     ncols = 3 if channel == "ACC" else 1
 
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from None
     if len(lines) < 2:
         raise ParseError(f"{path}: file has no header (need timestamp and rate lines)")
     start_time = _parse_header_line(lines[0], path, 1, ncols)
@@ -192,20 +196,30 @@ def map_iat_category(category: str) -> BiasLabel:
 
 
 def load_labels(path: str | Path) -> dict[str, BiasLabel]:
-    """Read the labels CSV (header: participant_id,iat_category)."""
+    """Read the labels CSV (header: participant_id,iat_category).
+
+    Raises:
+        ParseError: unreadable or undecodable file, or a bad header or row.
+        LabelError: a duplicate participant or an unknown IAT category.
+    """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"participant_id", "iat_category"} <= set(reader.fieldnames):
-            raise ParseError(f"{path}: expected header 'participant_id,iat_category'")
-        labels: dict[str, BiasLabel] = {}
-        for row in reader:
-            pid = (row["participant_id"] or "").strip()
-            if not pid:
-                raise ParseError(f"{path}: row with empty participant_id")
-            if pid in labels:
-                raise LabelError(f"{path}: duplicate label for participant {pid!r}")
-            labels[pid] = map_iat_category(row["iat_category"] or "")
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            fieldnames = reader.fieldnames
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from None
+    if fieldnames is None or not {"participant_id", "iat_category"} <= set(fieldnames):
+        raise ParseError(f"{path}: expected header 'participant_id,iat_category'")
+    labels: dict[str, BiasLabel] = {}
+    for row in rows:
+        pid = (row["participant_id"] or "").strip()
+        if not pid:
+            raise ParseError(f"{path}: row with empty participant_id")
+        if pid in labels:
+            raise LabelError(f"{path}: duplicate label for participant {pid!r}")
+        labels[pid] = map_iat_category(row["iat_category"] or "")
     return labels
 
 

@@ -1,12 +1,14 @@
 """Signal containers, accelerometer magnitude, and fixed-length windowing.
 
 Every channel is carried as a :class:`Signal` (uniform rate, absolute start
-time). Windowing slices an aligned multi-channel session into contiguous,
-non-overlapping windows; a trailing partial window is discarded, never padded.
+time). Windowing cuts an aligned multi-channel session into contiguous,
+non-overlapping windows, one (n_windows, samples per window) matrix per
+channel whose row k is window k; a trailing partial window is discarded,
+never padded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,23 +75,6 @@ class TriaxialSignal:
         return self.start_time + self.duration
 
 
-@dataclass
-class Window:
-    """One fixed-length window of an aligned session.
-
-    ``channels`` maps channel name to the sample slice for this window;
-    ``rates`` carries each channel's sampling rate so feature code can stay
-    unit-aware.
-    """
-
-    participant_id: str
-    index: int
-    start_time: float
-    duration: float
-    channels: dict[str, np.ndarray] = field(default_factory=dict)
-    rates: dict[str, float] = field(default_factory=dict)
-
-
 def magnitude(acc: TriaxialSignal) -> Signal:
     """Per-sample Euclidean norm of the three acceleration axes."""
     mag = np.sqrt(np.sum(acc.samples * acc.samples, axis=1))
@@ -114,16 +99,16 @@ def samples_per_window(rate: float, window_seconds: float) -> int:
     return spw
 
 
-def partition_windows(
+def window_matrices(
     channels: dict[str, Signal],
-    participant_id: str,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
-) -> list[Window]:
+) -> dict[str, np.ndarray]:
     """Split an aligned multi-channel session into contiguous windows.
 
-    Window k covers [start + k*w, start + (k+1)*w); the trailing partial
-    window is discarded. All channels must already cover the same interval
-    (within one sample period per channel).
+    Returns, per channel, the (n_windows, samples per window) view of its
+    samples whose row k covers [start + k*w, start + (k+1)*w); the trailing
+    partial window is discarded. All channels must already cover the same
+    interval (within one sample period per channel).
 
     Raises:
         ParamError: a channel's rate times window_seconds is not a whole
@@ -142,27 +127,14 @@ def partition_windows(
         if abs(s.start_time - start) > max_period:
             raise ValueError("channels are not aligned: start times differ")
 
-    n_windows = min(s.samples.size // samples_per_window(s.rate, window_seconds) for s in sigs)
+    spw = {name: samples_per_window(s.rate, window_seconds) for name, s in channels.items()}
+    n_windows = min(s.samples.size // spw[name] for name, s in channels.items())
     if n_windows < 1:
         raise InsufficientData(
             f"session shorter than one {window_seconds}s window "
             f"(min duration {min(s.duration for s in sigs):.2f}s)"
         )
-
-    windows = []
-    for k in range(n_windows):
-        sliced = {}
-        for name, s in channels.items():
-            spw = samples_per_window(s.rate, window_seconds)
-            sliced[name] = s.samples[k * spw:(k + 1) * spw]
-        windows.append(
-            Window(
-                participant_id=participant_id,
-                index=k,
-                start_time=start + k * window_seconds,
-                duration=window_seconds,
-                channels=sliced,
-                rates={name: s.rate for name, s in channels.items()},
-            )
-        )
-    return windows
+    return {
+        name: s.samples[:n_windows * spw[name]].reshape(n_windows, spw[name])
+        for name, s in channels.items()
+    }

@@ -178,6 +178,46 @@ class TestExtract:
         data = from_csv(tmp_path / "out" / "features.csv")
         assert set(data.participant_ids) == {f"P{i:03d}" for i in range(1, 7)}
 
+    def test_window_seconds_one_skips_every_session(self, corpus, tmp_path, capsys):
+        # 1 s windows hold one HR sample, too few for any statistic.
+        rc = run_extract(corpus, tmp_path, ("--window-seconds", "1"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        for i in range(1, 7):
+            assert f"skipping P{i:03d}: need >= 2 samples for statistics, got 1" in err
+        assert not (tmp_path / "features.csv").exists()
+
+    def test_non_utf8_channel_file_skips_session(self, corpus, tmp_path, capsys):
+        sessions = tmp_path / "sessions"
+        shutil.copytree(corpus / "sessions", sessions)
+        (sessions / "P001" / "EDA.csv").write_bytes(b"1600000000.0\n4.0\n\xff\xfe\x80\n")
+        rc = main(["extract", "--data-dir", str(sessions), "--labels", str(corpus / "labels.csv"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "skipping P001: " in err and "EDA.csv" in err
+        assert "Traceback" not in err
+        data = from_csv(tmp_path / "out" / "features.csv")
+        assert set(data.participant_ids) == {f"P{i:03d}" for i in range(2, 7)}
+
+    def test_non_utf8_labels_is_fatal(self, corpus, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"participant_id,iat_category\nP001,\xff\xfe strong\n")
+        rc = main(["extract", "--data-dir", str(corpus / "sessions"), "--labels", str(labels),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {labels}: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "features.csv").exists()
+
+    def test_meta_carries_no_seed(self, corpus, tmp_path):
+        # extract draws no random numbers, so it takes and records no seed.
+        assert run_extract(corpus, tmp_path) == 0
+        meta = json.loads((tmp_path / "features.csv").read_text().splitlines()[0][2:])
+        assert "seed" not in meta["config"]
+        with pytest.raises(SystemExit) as exc:
+            run_extract(corpus, tmp_path / "b", ("--seed", "1"))
+        assert exc.value.code == 2
+
 
 @pytest.fixture(scope="module")
 def features_csv(corpus, tmp_path_factory):
@@ -241,6 +281,34 @@ class TestEvaluateCommand:
         assert "participant accuracy" in printed
         assert "baseline" in printed
 
+    def test_mixed_labels_within_participant_fatal(self, features_csv, tmp_path, capsys):
+        lines = features_csv.read_text().splitlines()
+        row = next(i for i, ln in enumerate(lines) if ln.startswith("P001,"))
+        cells = lines[row].split(",")
+        cells[2] = str(1 - int(cells[2]))
+        lines[row] = ",".join(cells)
+        flipped = tmp_path / "features.csv"
+        flipped.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--features", str(flipped), "--rounds", "2",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "participant 'P001' has windows labelled" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_report_non_utf8_fatal(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"n_participants": "\xff\xfe"}')
+        assert main(["report", "--report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_report_without_metrics_fatal(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("{}")
+        assert main(["report", "--report", str(path)]) == 2
+        out = capsys.readouterr()
+        assert "not a physiobias report" in out.err and "participant_metrics" in out.err
+        assert out.out == ""
+
 
 class TestSmoothCommand:
     def test_trace_from_file(self, tmp_path, capsys):
@@ -264,3 +332,13 @@ class TestSmoothCommand:
         f = tmp_path / "seq.txt"
         f.write_text("nothing here\n")
         assert main(["smooth", "--input", str(f)]) == 2
+
+    def test_missing_input_fatal(self, tmp_path, capsys):
+        assert main(["smooth", "--input", str(tmp_path / "nope.txt")]) == 2
+        assert "error: cannot read the sequence" in capsys.readouterr().err
+
+    def test_non_utf8_input_fatal(self, tmp_path, capsys):
+        f = tmp_path / "seq.txt"
+        f.write_bytes(b"\xff\xfe\x80\n")
+        assert main(["smooth", "--input", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

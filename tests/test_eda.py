@@ -11,7 +11,6 @@ from physiobias.eda import (
     bateman_kernel,
     decompose,
     dump_components_csv,
-    window_components,
 )
 from physiobias.errors import InsufficientData, ParamError
 from physiobias.signals import Signal
@@ -108,6 +107,14 @@ class TestDecompose:
         rms = float(np.sqrt(np.mean(residual ** 2)))
         assert rms == pytest.approx(comp.residual_rms, abs=1e-12)
 
+    def test_tonic_plus_phasic_matches_input_minus_residual(self):
+        sig = pulse_signal(n=1200)
+        comp = decompose(sig)
+        residual = sig.samples - comp.tonic.samples - comp.phasic.samples
+        np.testing.assert_allclose(
+            comp.tonic.samples + comp.phasic.samples, sig.samples - residual, atol=1e-12
+        )
+
     def test_driver_nonnegative(self):
         comp = decompose(pulse_signal())
         assert comp.driver.samples.min() >= -1e-9
@@ -192,31 +199,6 @@ class TestDenseReference:
         assert sparse.issparse(B)
         assert B.shape[0] == n
         assert B.nnz <= 4 * n
-
-
-class TestWindowComponents:
-    def test_slicing_matches_window_arithmetic(self):
-        comp = decompose(pulse_signal(n=1200))  # 300 s at 4 Hz
-        slices = window_components(comp, window_seconds=5.0)
-        assert len(slices) == 60
-        assert all(t.size == 20 and p.size == 20 for t, p in slices)
-        tonic0, _ = slices[0]
-        assert np.array_equal(tonic0, comp.tonic.samples[:20])
-
-    def test_tonic_plus_phasic_matches_input_minus_residual(self):
-        sig = pulse_signal(n=1200)
-        comp = decompose(sig)
-        residual = sig.samples - comp.tonic.samples - comp.phasic.samples
-        for k, (tonic, phasic) in enumerate(window_components(comp)):
-            sl = slice(20 * k, 20 * (k + 1))
-            np.testing.assert_allclose(
-                tonic + phasic, sig.samples[sl] - residual[sl], atol=1e-12
-            )
-
-    def test_too_many_windows_requested(self):
-        comp = decompose(pulse_signal(n=480))
-        with pytest.raises(InsufficientData):
-            window_components(comp, n_windows=120)
 
 
 def test_debug_dump_round_trips_columns(tmp_path):

@@ -4,20 +4,29 @@ import numpy as np
 import pytest
 
 import oracles
+from physiobias.eda import decompose
 from physiobias.errors import InsufficientData
 from physiobias.features import (
+    AUC_SIGNALS,
     BEAT_FEATURES,
+    EXTRA_FEATURES,
+    EXTRA_SIGNALS,
     FEATURE_COLUMNS,
+    FEATURE_SIGNALS,
     RRSeries,
     build_feature_matrix,
     detect_beats,
     eda_extra_features,
+    extract_session_features,
+    extra_columns,
     extra_features,
     hrv_features,
     stat_features,
-    window_features,
+    window_feature_matrix,
 )
-from physiobias.signals import Window
+from physiobias.ingest import assemble_session, load_labels
+from physiobias.signals import magnitude, window_matrices
+from physiobias.synth import SynthParams, generate_corpus
 
 
 class TestStatFeatures:
@@ -256,7 +265,12 @@ class TestOracleEquivalence:
             assert got.intervals == pytest.approx(rr, rel=1e-12)
 
 
-def make_window(bvp=None) -> Window:
+RATES = {"eda": 4.0, "eda_tonic": 4.0, "eda_phasic": 4.0, "bvp": 64.0,
+         "hr": 1.0, "skt": 4.0, "magnitude": 32.0}
+
+
+def make_windows(bvp=None) -> dict[str, np.ndarray]:
+    """One 5 s window of every feature signal, as one-row matrices."""
     rng = np.random.default_rng(77)
     t64 = np.arange(320) / 64.0
     channels = {
@@ -268,16 +282,14 @@ def make_window(bvp=None) -> Window:
         "skt": rng.uniform(31, 34, 20),
         "magnitude": rng.uniform(0.9, 1.1, 160),
     }
-    rates = {"eda": 4.0, "eda_tonic": 4.0, "eda_phasic": 4.0, "bvp": 64.0,
-             "hr": 1.0, "skt": 4.0, "magnitude": 32.0}
-    return Window("p1", 0, 0.0, 5.0, channels, rates)
+    return {name: x[None, :] for name, x in channels.items()}
 
 
 class TestWindowFeatures:
     def test_column_vocabulary(self):
         assert len(FEATURE_COLUMNS) == 102
-        vec = window_features(make_window())
-        assert list(vec.features) == FEATURE_COLUMNS
+        assert len(set(FEATURE_COLUMNS)) == 102
+        assert window_feature_matrix(make_windows(), RATES).shape == (1, 102)
 
     def test_hr_gets_stats_only(self):
         assert "hr_mean" in FEATURE_COLUMNS
@@ -288,27 +300,135 @@ class TestWindowFeatures:
         assert "hr_hr_mad" not in FEATURE_COLUMNS
 
     def test_flat_bvp_yields_missing_beat_features(self):
-        vec = window_features(make_window(bvp=np.zeros(320)))
+        row = window_feature_matrix(make_windows(bvp=np.zeros(320)), RATES)[0]
         for name in BEAT_FEATURES:
-            assert np.isnan(vec.features[f"bvp_{name}"])
+            assert np.isnan(row[FEATURE_COLUMNS.index(f"bvp_{name}")])
 
     def test_missing_channel_rejected(self):
-        window = make_window()
-        del window.channels["skt"]
+        windows = make_windows()
+        del windows["skt"]
         with pytest.raises(ValueError):
-            window_features(window)
+            window_feature_matrix(windows, RATES)
 
 
 class TestBuildFeatureMatrix:
     def test_rows_columns_and_missing(self):
-        vec_a = window_features(make_window())
-        vec_b = window_features(make_window(bvp=np.zeros(320)))
-        vec_b.window_index = 1
-        data = build_feature_matrix([("pA", 1, [vec_a, vec_b]), ("pB", 0, [vec_a])])
+        row_a = window_feature_matrix(make_windows(), RATES)
+        row_b = window_feature_matrix(make_windows(bvp=np.zeros(320)), RATES)
+        data = build_feature_matrix([("pA", 1, np.vstack([row_a, row_b])), ("pB", 0, row_a)])
         assert data.X.shape == (3, 102)
         assert list(data.column_names) == FEATURE_COLUMNS
         assert data.y.tolist() == [1, 1, 0]
         assert data.participant_ids.tolist() == ["pA", "pA", "pB"]
-        row_b = data.X[1]
-        assert np.isnan(row_b[FEATURE_COLUMNS.index("bvp_rmssd")])
-        assert not np.isnan(row_b[FEATURE_COLUMNS.index("eda_mean")])
+        assert data.window_indices.tolist() == [0, 1, 0]
+        assert np.isnan(data.X[1, FEATURE_COLUMNS.index("bvp_rmssd")])
+        assert not np.isnan(data.X[1, FEATURE_COLUMNS.index("eda_mean")])
+
+
+@pytest.fixture(scope="module")
+def synth_sessions(tmp_path_factory):
+    """Six 5-minute synthetic sessions (synth seed 3), each with its seven
+    feature signals after one decomposition."""
+    root = tmp_path_factory.mktemp("synth")
+    sessions_dir, labels_path = generate_corpus(
+        root, SynthParams(participants_per_class=3, session_seconds=300.0, seed=3)
+    )
+    labels = load_labels(labels_path)
+    out = []
+    for d in sorted(sessions_dir.iterdir()):
+        session = assemble_session(d, labels)
+        comp = decompose(session.eda)
+        channels = {
+            "eda": session.eda, "eda_tonic": comp.tonic, "eda_phasic": comp.phasic,
+            "bvp": session.bvp, "hr": session.hr, "skt": session.skt,
+            "magnitude": magnitude(session.acc),
+        }
+        out.append((session, channels))
+    return out
+
+
+def per_slice_row(slices: dict[str, np.ndarray]) -> list[float]:
+    """One window's 102 features from the per-slice functions, by name."""
+    values = {}
+    for sig in FEATURE_SIGNALS:
+        x, rate = slices[sig], RATES[sig]
+        groups = [stat_features(x, rate)]
+        if sig in EXTRA_SIGNALS:
+            groups.append(extra_features(x, rate))
+        if sig in AUC_SIGNALS:
+            groups.append(eda_extra_features(x, rate))
+        if sig == "bvp":
+            groups.append(hrv_features(detect_beats(x, rate)))
+        for group in groups:
+            values.update({f"{sig}_{name}": v for name, v in group.items()})
+    return [values[name] for name in FEATURE_COLUMNS]
+
+
+def oracle_row(slices: dict[str, np.ndarray]) -> list[float]:
+    """One window's 102 features from the brute-force oracles, by name."""
+    values = {}
+    for sig in FEATURE_SIGNALS:
+        xs, rate = list(slices[sig]), RATES[sig]
+        groups = [oracles.o_stat_features(xs, rate)]
+        if sig in EXTRA_SIGNALS:
+            groups.append(oracles.o_extra_features(xs, rate))
+        if sig in AUC_SIGNALS:
+            groups.append(oracles.o_eda_extra_features(xs, rate))
+        if sig == "bvp":
+            peaks, rr = oracles.o_detect_beats(xs, rate)
+            groups.append(oracles.o_hrv_features(rr, [xs[i] for i in peaks]))
+        for group in groups:
+            values.update({f"{sig}_{name}": v for name, v in group.items()})
+    return [values[name] for name in FEATURE_COLUMNS]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise: equal bit patterns, with every NaN counted as one."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.where(nan | np.isnan(b), nan == np.isnan(b), a.view(np.int64) == b.view(np.int64))
+
+
+class TestBatchedPath:
+    """The session matrix is the per-slice features of every window."""
+
+    @pytest.mark.parametrize("window_seconds", [5.0, 10.0])
+    def test_matrix_equals_per_slice_functions(self, synth_sessions, window_seconds):
+        for _, channels in synth_sessions:
+            windows = window_matrices(channels, window_seconds)
+            matrix = window_feature_matrix(windows, RATES)
+            assert matrix.shape == (300 / window_seconds, 102)
+            for k in range(matrix.shape[0]):
+                want = per_slice_row({sig: w[k] for sig, w in windows.items()})
+                ok = same_bits(matrix[k], want)
+                assert ok.all(), [c for c, good in zip(FEATURE_COLUMNS, ok) if not good]
+
+    def test_extract_session_features_is_the_matrix(self, synth_sessions):
+        session, channels = synth_sessions[0]
+        matrix, _ = extract_session_features(session)
+        want = window_feature_matrix(window_matrices(channels), RATES)
+        assert same_bits(matrix, want).all()
+
+    def test_session_matches_oracles(self, synth_sessions):
+        _, channels = synth_sessions[1]
+        windows = window_matrices(channels)
+        matrix = window_feature_matrix(windows, RATES)
+        for k in range(matrix.shape[0]):
+            want = oracle_row({sig: w[k] for sig, w in windows.items()})
+            for name, got, exp in zip(FEATURE_COLUMNS, matrix[k], want):
+                if np.isnan(got) and np.isnan(exp):
+                    continue
+                assert abs(got - exp) <= 1e-9 * max(1.0, abs(got), abs(exp)), (k, name, got, exp)
+
+    def test_skewness_rounds_like_python_float_power(self):
+        # numpy's array ** can differ from Python's float ** in the last bit;
+        # the per-slice definition divides by the Python-rounded m2 ** 1.5.
+        rng = np.random.default_rng(11)
+        X = rng.normal(0.0, rng.uniform(0.1, 5.0, (2000, 1)), (2000, 20))
+        want = []
+        for x in X:
+            dev = x - x.mean()
+            m2 = float((dev * dev).mean())
+            want.append(float((dev ** 3).mean() / m2 ** 1.5))
+        skewness = extra_columns(X, 4.0)[:, EXTRA_FEATURES.index("skewness")]
+        assert same_bits(skewness, want).all()

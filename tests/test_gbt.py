@@ -10,10 +10,7 @@ from physiobias.errors import DegenerateLabels, ShapeError
 from physiobias.gbt import (
     GbtParams,
     importance,
-    load_model,
-    predict_proba,
     predict_proba_matrix,
-    save_model,
     train,
 )
 
@@ -261,7 +258,7 @@ class TestPredict:
         model = train(data, GbtParams(rounds=0))
         prior = float(np.mean(data.y))
         expected = 1.0 / (1.0 + np.exp(-np.log(prior / (1 - prior))))
-        assert predict_proba(model, data.X[0]) == pytest.approx(expected)
+        assert predict_proba_matrix(model, data.X[:1])[0] == pytest.approx(expected)
         assert expected == pytest.approx(prior)
 
     def test_constant_features_converge_to_prior(self):
@@ -269,7 +266,7 @@ class TestPredict:
         X = np.ones((90, 3))
         y = (rng.random(90) < 0.3).astype(int)
         model = train(make_dataset(X, y), GbtParams(depth=2, rounds=30))
-        p = predict_proba(model, X[0])
+        p = predict_proba_matrix(model, X[:1])[0]
         assert p == pytest.approx(float(np.mean(y)), abs=1e-6)
 
     def test_missing_value_takes_default_branch(self):
@@ -281,8 +278,7 @@ class TestPredict:
         X = rng.normal(size=(n, 1))
         X[y == 1, 0] = np.nan
         model = train(make_dataset(X, y), GbtParams(depth=1, rounds=10, min_child_weight=0.1))
-        p_nan = predict_proba(model, np.array([np.nan]))
-        p_num = predict_proba(model, np.array([0.0]))
+        p_nan, p_num = predict_proba_matrix(model, np.array([[np.nan], [0.0]]))
         assert p_nan > 0.5 > p_num
 
     def test_every_row_reaches_exactly_one_leaf(self):
@@ -299,7 +295,7 @@ class TestPredict:
     def test_width_mismatch(self):
         model = train(xor_dataset(), GbtParams(rounds=1))
         with pytest.raises(ShapeError):
-            predict_proba(model, np.zeros(5))
+            predict_proba_matrix(model, np.zeros((1, 5)))
         with pytest.raises(ShapeError):
             predict_proba_matrix(model, np.zeros((3, 5)))
 
@@ -324,17 +320,3 @@ class TestImportance:
         data = xor_dataset(n=40)
         model = train(data, GbtParams(depth=2, rounds=5, min_child_weight=1e6))
         assert importance(model) == {}
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        data = xor_dataset()
-        model = train(data, GbtParams(depth=2, rounds=8))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.base_score == model.base_score
-        assert back.column_names == model.column_names
-        np.testing.assert_array_equal(
-            predict_proba_matrix(back, data.X), predict_proba_matrix(model, data.X)
-        )

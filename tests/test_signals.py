@@ -6,8 +6,8 @@ from physiobias.signals import (
     Signal,
     TriaxialSignal,
     magnitude,
-    partition_windows,
     samples_per_window,
+    window_matrices,
 )
 
 
@@ -61,56 +61,61 @@ class TestMagnitude:
 
 
 class TestPartitionWindows:
+    """Partitioning a session into one (n_windows, samples per window)
+    matrix per channel."""
+
     def test_300s_session(self):
-        windows = partition_windows(make_channels(300.0), "p1")
-        assert len(windows) == 60
-        assert windows[0].channels["eda"].size == 20
-        assert windows[0].channels["bvp"].size == 320
-        assert windows[0].channels["hr"].size == 5
+        windows = window_matrices(make_channels(300.0))
+        assert windows["eda"].shape == (60, 20)
+        assert windows["bvp"].shape == (60, 320)
+        assert windows["hr"].shape == (60, 5)
 
     def test_floor_rule_discards_tail(self):
-        windows = partition_windows(make_channels(12.0), "p1")
-        assert len(windows) == 2
+        windows = window_matrices(make_channels(12.0))
+        assert {w.shape[0] for w in windows.values()} == {2}
 
     def test_too_short(self):
         with pytest.raises(InsufficientData):
-            partition_windows(make_channels(4.9), "p1")
+            window_matrices(make_channels(4.9))
 
     def test_concatenation_is_prefix(self):
         channels = make_channels(17.0)
-        windows = partition_windows(channels, "p1")
+        windows = window_matrices(channels)
         for name, sig in channels.items():
-            joined = np.concatenate([w.channels[name] for w in windows])
+            joined = windows[name].ravel()
             assert np.array_equal(joined, sig.samples[: joined.size])
 
     def test_window_count_identical_across_channels(self):
-        windows = partition_windows(make_channels(47.0), "p1")
-        sizes = {name: windows[0].channels[name].size for name in ("eda", "bvp", "hr")}
-        assert sizes == {"eda": 20, "bvp": 320, "hr": 5}
-        assert len({len(w.channels) for w in windows}) == 1
+        windows = window_matrices(make_channels(47.0))
+        shapes = {name: w.shape for name, w in windows.items()}
+        assert shapes == {"eda": (9, 20), "bvp": (9, 320), "hr": (9, 5)}
 
     def test_windows_contiguous(self):
-        windows = partition_windows(make_channels(25.0), "p1")
-        starts = [w.start_time for w in windows]
-        assert starts == [0.0, 5.0, 10.0, 15.0, 20.0]
-        assert all(w.duration == 5.0 for w in windows)
+        channels = make_channels(25.0)
+        windows = window_matrices(channels)
+        for name, sig in channels.items():
+            spw = windows[name].shape[1]
+            assert windows[name].shape[0] == 5
+            # Row k is window k, starting at k * 5 s, and shares the samples.
+            assert np.shares_memory(windows[name], sig.samples)
+            for k, row in enumerate(windows[name]):
+                assert np.array_equal(row, sig.samples[k * spw:(k + 1) * spw])
 
     def test_misaligned_channels_rejected(self):
         channels = make_channels(30.0)
         channels["eda"] = Signal(7.0, 4.0, channels["eda"].samples)
         with pytest.raises(ValueError):
-            partition_windows(channels, "p1")
+            window_matrices(channels)
 
     def test_custom_window_seconds(self):
-        windows = partition_windows(make_channels(60.0), "p1", window_seconds=10.0)
-        assert len(windows) == 6
-        assert windows[0].channels["eda"].size == 40
+        windows = window_matrices(make_channels(60.0), window_seconds=10.0)
+        assert windows["eda"].shape == (6, 40)
 
     def test_fractional_samples_per_window_rejected(self):
         # 2.5 s is 10 EDA samples but 2.5 HR samples: rounding HR to 2 would
         # start HR window k at 2k s while EDA window k starts at 2.5k s.
         with pytest.raises(ParamError):
-            partition_windows(make_channels(60.0), "p1", window_seconds=2.5)
+            window_matrices(make_channels(60.0), window_seconds=2.5)
 
 
 class TestSamplesPerWindow:
