@@ -17,6 +17,7 @@ from .errors import (
     ParseError,
     PhysioBiasError,
     ShapeError,
+    SignalError,
 )
 from .evaluation import (
     EvalReport,

@@ -4,6 +4,12 @@ Every output embeds the configuration (with the seed, for the commands that
 draw random numbers) and the tool version, and carries no timestamps, so a
 rerun with the same flags is byte-identical.
 Exit codes: 0 success, 1 partial failure (some sessions skipped), 2 fatal.
+The error policy lives in two places. A command raises PhysioBiasError for
+a bad flag or input file (each read converts OSError and decode errors into
+one), or OSError for an output it cannot write; `main` alone turns either
+into one `error: <reason>` line and exit 2. `extract` skips a session whose
+own files or signals raise PhysioBiasError, with a
+`skipping <session>: <reason>` line.
 `extract` also writes extract_diagnostics.json (per session: EDA solver
 convergence, iterations, residual RMS and window count) and warns on stderr
 about each session whose decomposition stopped at its iteration cap; such a
@@ -22,7 +28,7 @@ import numpy as np
 from . import __version__
 from .dataset import Dataset, from_csv
 from .eda import DecompParams, dump_components_csv
-from .errors import NoSessions, PhysioBiasError
+from .errors import NoSessions, ParseError, PhysioBiasError
 from .evaluation import EvalReport, evaluate
 from .features import build_feature_matrix, extract_session_features
 from .gbt import GbtParams
@@ -119,26 +125,18 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_extract(args: argparse.Namespace) -> int:
     data_dir: Path = args.data_dir
     if not data_dir.is_dir():
-        print(f"error: {data_dir} is not a directory", file=sys.stderr)
-        return 2
+        raise NoSessions(f"{data_dir} is not a directory")
     session_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())
     if not session_dirs:
-        print(f"error: {NoSessions(f'no session directories in {data_dir}')}", file=sys.stderr)
-        return 2
-
-    try:
-        labels = load_labels(args.labels)
-        decomp = DecompParams(
-            knot_spacing=args.knot_spacing,
-            alpha=args.decomp_alpha,
-            gamma=args.decomp_gamma,
-            tol=args.decomp_tol,
-            max_iter=args.decomp_max_iter,
-        )
-    except PhysioBiasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+        raise NoSessions(f"no session directories in {data_dir}")
+    labels = load_labels(args.labels)
+    decomp = DecompParams(
+        knot_spacing=args.knot_spacing,
+        alpha=args.decomp_alpha,
+        gamma=args.decomp_gamma,
+        tol=args.decomp_tol,
+        max_iter=args.decomp_max_iter,
+    )
     args.out.mkdir(parents=True, exist_ok=True)
     debug_dir = args.out / "eda_debug"
     config = {
@@ -182,8 +180,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             print(f"skipping {session_dir.name}: {exc}", file=sys.stderr)
 
     if not extracted:
-        print("error: no usable sessions", file=sys.stderr)
-        return 2
+        raise NoSessions("no usable sessions")
 
     data = build_feature_matrix(extracted)
     data.to_csv(args.out / "features.csv", meta=meta)
@@ -218,34 +215,25 @@ def _report_to_dict(report: EvalReport, meta: dict) -> dict:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        data = from_csv(args.features)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        params = GbtParams(
-            depth=args.depth,
-            rounds=args.rounds,
-            learning_rate=args.learning_rate,
-            reg_lambda=args.reg_lambda,
-            min_child_weight=args.min_child_weight,
-            subsample=args.subsample,
-            seed=args.seed,
-        )
-        report = evaluate(
-            data,
-            params,
-            seed=args.seed,
-            top_n=args.top_n,
-            importance_threshold=args.importance_threshold,
-            n_jobs=args.folds_parallel,
-        )
-    except PhysioBiasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    data = from_csv(args.features)
+    params = GbtParams(
+        depth=args.depth,
+        rounds=args.rounds,
+        learning_rate=args.learning_rate,
+        reg_lambda=args.reg_lambda,
+        min_child_weight=args.min_child_weight,
+        subsample=args.subsample,
+        seed=args.seed,
+    )
     args.out.mkdir(parents=True, exist_ok=True)
+    report = evaluate(
+        data,
+        params,
+        seed=args.seed,
+        top_n=args.top_n,
+        importance_threshold=args.importance_threshold,
+        n_jobs=args.folds_parallel,
+    )
     config = {
         "features": str(args.features),
         "model": dataclasses.asdict(params),
@@ -279,12 +267,10 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
     try:
         text = args.input.read_text() if args.input else sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read the sequence: {exc}", file=sys.stderr)
-        return 2
+        raise ParseError(f"cannot read the sequence: {exc}") from None
     tokens = [ch for ch in text if ch in "01"]
     if not tokens:
-        print("error: no 0/1 labels found in input", file=sys.stderr)
-        return 2
+        raise ParseError("no 0/1 labels found in input")
     labels = [int(t) for t in tokens]
     smoothed, trace = smooth_with_trace(labels)
     for line in trace:
@@ -316,13 +302,11 @@ def _report_lines(doc: dict) -> list[str]:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         lines = _report_lines(json.loads(args.report.read_text()))
-    except (OSError, ValueError) as exc:  # includes undecodable bytes and bad JSON
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError) as exc:
-        print(f"error: {args.report}: not a physiobias report "
-              f"({type(exc).__name__}: {exc})", file=sys.stderr)
-        return 2
+    except (OSError, ValueError, RecursionError) as exc:  # undecodable, bad or too deep JSON
+        raise ParseError(f"{args.report}: {exc}") from None
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ParseError(f"{args.report}: not a physiobias report "
+                         f"({type(exc).__name__}: {exc})") from None
     print("\n".join(lines))
     return 0
 
@@ -336,7 +320,11 @@ def main(argv: list[str] | None = None) -> int:
         "smooth": _cmd_smooth,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (PhysioBiasError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import LabelError, ParseError
+
 
 @dataclass
 class Dataset:
@@ -85,31 +87,44 @@ def from_csv(path: str | Path) -> Dataset:
     """Read a feature matrix written by Dataset.to_csv.
 
     Raises:
-        ValueError: a malformed file, or a participant whose windows carry
-            both labels.
+        ParseError: an unreadable or undecodable file, or a malformed one.
+        LabelError: a label other than 0 or 1, or a participant whose
+            windows carry both labels.
     """
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from None
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not lines:
-        raise ValueError(f"{path}: empty feature file")
+        raise ParseError(f"{path}: empty feature file")
     header = lines[0].split(",")
     if header[:3] != ["participant_id", "window_index", "label"]:
-        raise ValueError(f"{path}: unexpected header {header[:3]}")
+        raise ParseError(f"{path}: unexpected header {header[:3]}")
     columns = header[3:]
     pids, widx, labels, rows = [], [], [], []
     label_of: dict[str, int] = {}
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: row width {len(cells)} != header width {len(header)}")
-        label = int(cells[2])
-        if label_of.setdefault(cells[0], label) != label:
-            raise ValueError(f"{path}: participant {cells[0]!r} has windows labelled "
-                             f"{label_of[cells[0]]} and {label}")
-        pids.append(cells[0])
-        widx.append(int(cells[1]))
-        labels.append(label)
-        rows.append([float(c) if c else np.nan for c in cells[3:]])
+    try:
+        for ln in lines[1:]:
+            cells = ln.split(",")
+            if len(cells) != len(header):
+                raise ParseError(f"{path}: row width {len(cells)} != header width {len(header)}")
+            label = int(cells[2])
+            if label_of.setdefault(cells[0], label) != label:
+                raise LabelError(f"{path}: participant {cells[0]!r} has windows labelled "
+                                 f"{label_of[cells[0]]} and {label}")
+            pids.append(cells[0])
+            widx.append(int(cells[1]))
+            labels.append(label)
+            rows.append([float(c) if c else np.nan for c in cells[3:]])
+    except ValueError as exc:
+        raise ParseError(f"{path}: data row {len(rows) + 1}: {exc}") from None
+    for pid, label in label_of.items():
+        if not pid:
+            raise ParseError(f"{path}: row with empty participant_id")
+        if label not in (0, 1):
+            raise LabelError(f"{path}: participant {pid!r} has label {label}; labels must be 0 or 1")
     return Dataset(
         X=np.asarray(rows, dtype=float).reshape(len(rows), len(columns)),
         y=np.asarray(labels),
@@ -117,4 +132,3 @@ def from_csv(path: str | Path) -> Dataset:
         window_indices=np.asarray(widx),
         column_names=columns,
     )
-

@@ -62,14 +62,14 @@ class DecompParams:
     def __post_init__(self) -> None:
         if not (self.tau0 > self.tau1 > 0):
             raise ParamError(f"need tau0 > tau1 > 0, got tau0={self.tau0}, tau1={self.tau1}")
-        if self.knot_spacing <= 0:
-            raise ParamError("knot_spacing must be > 0")
-        if self.alpha <= 0 or self.gamma <= 0 or self.tol <= 0:
+        if not 0 < self.knot_spacing < np.inf:
+            raise ParamError("knot_spacing must be > 0 and finite")
+        if not (self.alpha > 0 and self.gamma > 0 and self.tol > 0):
             raise ParamError("alpha, gamma and tol must be > 0")
         if self.max_iter < 1:
             raise ParamError("max_iter must be >= 1")
-        if self.kernel_seconds <= 0:
-            raise ParamError("kernel_seconds must be > 0")
+        if not 0 < self.kernel_seconds < np.inf:
+            raise ParamError("kernel_seconds must be > 0 and finite")
 
 
 @dataclass
@@ -146,12 +146,17 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
     the features window the components afterwards.
 
     Raises:
+        ParamError: knot spacing shorter than one sample period.
         InsufficientData: signal shorter than 4 knot spacings.
     """
     params = params or DecompParams()
     y = eda.samples
     n = y.size
     rate = eda.rate
+    if params.knot_spacing * rate < 1:
+        raise ParamError(
+            f"knot_spacing {params.knot_spacing:g} s is shorter than one sample at {rate:g} Hz"
+        )
     min_len = int(4 * params.knot_spacing * rate)
     if n < min_len:
         raise InsufficientData(

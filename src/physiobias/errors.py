@@ -1,4 +1,9 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+Every check on outside input (a flag, a file, a signal) raises a
+PhysioBiasError subclass; `cli.main` alone turns one into `error: <reason>`
+and exit 2, and `extract` skips the session that raised it.
+"""
 
 
 class PhysioBiasError(Exception):
@@ -42,4 +47,9 @@ class ShapeError(PhysioBiasError):
 
 
 class NoSessions(PhysioBiasError):
-    """Data directory contains no session directories."""
+    """Data directory holds no session directory, or no usable one."""
+
+
+class SignalError(PhysioBiasError, ValueError):
+    """Signal with a non-positive rate, a bad shape or non-finite samples,
+    or channels that do not start together."""

@@ -228,19 +228,15 @@ def mann_whitney_u(x, y) -> tuple[float, float, bool]:
     pooled = np.concatenate([x, y])
     n = n1 + n2
 
+    # Each block of tied values, from sorted position i to j, shares the
+    # average rank 0.5 * (i + j) + 1.
     order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(n)
     sorted_vals = pooled[order]
-    i = 0
-    tie_term = 0.0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        t = j - i + 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        tie_term += t ** 3 - t
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    counts = np.diff(np.r_[starts, n])
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (2 * starts + counts - 1) + 1.0, counts)
+    tie_term = float(np.sum(counts ** 3 - counts))
 
     r1 = float(ranks[:n1].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0
@@ -297,10 +293,17 @@ def evaluate(
     participant-level metrics against the majority-class baseline.
 
     Raises:
-        ParamError: top_n below 1.
+        ParamError: top_n below 1, a negative seed, n_jobs below 1 or a
+            non-finite importance_threshold.
     """
     if top_n < 1:
         raise ParamError(f"top_n must be >= 1, got {top_n}")
+    if seed < 0:
+        raise ParamError(f"seed must be >= 0, got {seed}")
+    if n_jobs < 1:
+        raise ParamError(f"n_jobs (folds in parallel) must be >= 1, got {n_jobs}")
+    if importance_threshold is not None and not math.isfinite(importance_threshold):
+        raise ParamError(f"importance_threshold must be finite, got {importance_threshold}")
     model_params = model_params or GbtParams()
     folds = lopo_folds(data)
     jobs = [

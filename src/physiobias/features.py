@@ -29,7 +29,7 @@ from .dataset import Dataset
 from .eda import DecompParams, EdaComponents, decompose
 from .errors import InsufficientData
 from .ingest import RawSession
-from .signals import magnitude, samples_per_window, window_matrices
+from .signals import magnitude, window_matrices
 
 STAT_FEATURES = (
     "max", "min", "median", "mean", "std", "var",
@@ -301,25 +301,32 @@ def extract_session_features(
     """Decompose the session's EDA, window all seven signals, and compute
     the session's (n_windows, 102) feature matrix.
 
+    Every check on the window size runs on the session's first window
+    before the decomposition is paid for, the EDA standing in for its
+    components.
+
     Raises:
         ParamError: window_seconds is not a whole number of samples on some
-            channel; checked before the decomposition is paid for.
-        InsufficientData: a window holds too few samples for a feature.
+            channel.
+        InsufficientData: the session is shorter than one window, or a
+            window holds too few samples for a feature.
     """
-    for sig in session.channels().values():
-        samples_per_window(sig.rate, window_seconds)
-    components = decompose(session.eda, decomp_params)
     channels = {
         "eda": session.eda,
-        "eda_tonic": components.tonic,
-        "eda_phasic": components.phasic,
+        "eda_tonic": session.eda,
+        "eda_phasic": session.eda,
         "bvp": session.bvp,
         "hr": session.hr,
         "skt": session.skt,
         "magnitude": magnitude(session.acc),
     }
-    windows = window_matrices(channels, window_seconds)
     rates = {name: s.rate for name, s in channels.items()}
+    windows = window_matrices(channels, window_seconds)
+    window_feature_matrix({name: w[:1] for name, w in windows.items()}, rates)
+    components = decompose(session.eda, decomp_params)
+    channels["eda_tonic"] = components.tonic
+    channels["eda_phasic"] = components.phasic
+    windows = window_matrices(channels, window_seconds)
     return window_feature_matrix(windows, rates), components
 
 

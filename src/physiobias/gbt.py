@@ -44,10 +44,12 @@ class GbtParams:
             raise ParamError("depth must be >= 1 and rounds >= 0")
         if not (0 < self.learning_rate <= 1):
             raise ParamError("learning_rate must be in (0, 1]")
-        if self.reg_lambda < 0 or self.min_child_weight < 0:
+        if not (self.reg_lambda >= 0 and self.min_child_weight >= 0):
             raise ParamError("reg_lambda and min_child_weight must be >= 0")
         if not (0 < self.subsample <= 1):
             raise ParamError("subsample must be in (0, 1]")
+        if self.seed < 0:
+            raise ParamError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, ParamError
+from .errors import InsufficientData, ParamError, SignalError
 
 DEFAULT_WINDOW_SECONDS = 5.0
 
@@ -33,12 +33,12 @@ class Signal:
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.rate <= 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+        if not self.rate > 0:
+            raise SignalError(f"rate must be > 0, got {self.rate}")
         if self.samples.ndim != 1 or self.samples.size < 1:
-            raise ValueError("samples must be a non-empty 1-D array")
+            raise SignalError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must be finite")
+            raise SignalError("samples must be finite")
 
     @property
     def duration(self) -> float:
@@ -59,12 +59,12 @@ class TriaxialSignal:
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.rate <= 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+        if not self.rate > 0:
+            raise SignalError(f"rate must be > 0, got {self.rate}")
         if self.samples.ndim != 2 or self.samples.shape[1] != 3 or self.samples.shape[0] < 1:
-            raise ValueError("samples must be a non-empty (N, 3) array")
+            raise SignalError("samples must be a non-empty (N, 3) array")
         if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must be finite")
+            raise SignalError("samples must be finite")
 
     @property
     def duration(self) -> float:
@@ -76,8 +76,13 @@ class TriaxialSignal:
 
 
 def magnitude(acc: TriaxialSignal) -> Signal:
-    """Per-sample Euclidean norm of the three acceleration axes."""
-    mag = np.sqrt(np.sum(acc.samples * acc.samples, axis=1))
+    """Per-sample Euclidean norm of the three acceleration axes.
+
+    Raises:
+        SignalError: a norm overflows to inf.
+    """
+    with np.errstate(over="ignore"):
+        mag = np.sqrt(np.sum(acc.samples * acc.samples, axis=1))
     return Signal(start_time=acc.start_time, rate=acc.rate, samples=mag)
 
 
@@ -90,7 +95,7 @@ def samples_per_window(rate: float, window_seconds: float) -> int:
             1e-9), e.g. 2.5 s windows on the 1 Hz HR channel.
     """
     exact = rate * window_seconds
-    spw = int(round(exact))
+    spw = int(round(exact)) if np.isfinite(exact) else 0
     if spw < 1 or abs(exact - spw) > 1e-9:
         raise ParamError(
             f"{window_seconds:g} s windows hold {exact:g} samples at {rate:g} Hz; "
@@ -111,21 +116,20 @@ def window_matrices(
     interval (within one sample period per channel).
 
     Raises:
-        ParamError: a channel's rate times window_seconds is not a whole
-            number of samples.
+        ParamError: a channel's rate times window_seconds is not a positive
+            whole number of samples.
+        SignalError: the channels do not start together.
         InsufficientData: if the session is shorter than one window.
     """
     if not channels:
         raise ValueError("no channels to window")
-    if window_seconds <= 0:
-        raise ValueError("window_seconds must be > 0")
 
     sigs = list(channels.values())
     start = sigs[0].start_time
     max_period = max(1.0 / s.rate for s in sigs)
     for s in sigs:
         if abs(s.start_time - start) > max_period:
-            raise ValueError("channels are not aligned: start times differ")
+            raise SignalError("channels are not aligned: start times differ")
 
     spw = {name: samples_per_window(s.rate, window_seconds) for name, s in channels.items()}
     n_windows = min(s.samples.size // spw[name] for name, s in channels.items())

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .eda import bateman_kernel
+from .errors import ParamError
 from .ingest import ACC_COUNTS_PER_G, write_e4_csv
 from .signals import Signal, TriaxialSignal
 
@@ -50,12 +51,16 @@ class SynthParams:
     amp_gain_per_effect: float = 0.4     # amplitude multiplier slope
 
     def __post_init__(self) -> None:
-        if self.participants_per_class < 1 or self.session_seconds <= 0:
-            raise ValueError("participants_per_class and session_seconds must be positive")
-        if self.effect_size < 0:
-            raise ValueError("effect_size must be >= 0")
+        if self.participants_per_class < 1:
+            raise ParamError(f"participants_per_class must be >= 1, got {self.participants_per_class}")
+        if not 0 < self.session_seconds < np.inf:
+            raise ParamError(f"session_seconds must be positive and finite, got {self.session_seconds}")
+        if not 0 <= self.effect_size < np.inf:
+            raise ParamError(f"effect_size must be >= 0 and finite, got {self.effect_size}")
         if self.effect_location not in ("uniform", "end"):
-            raise ValueError("effect_location must be 'uniform' or 'end'")
+            raise ParamError("effect_location must be 'uniform' or 'end'")
+        if self.seed < 0:
+            raise ParamError(f"seed must be >= 0, got {self.seed}")
 
 
 def _pulse_train(

@@ -248,6 +248,34 @@ def o_mann_whitney_exact_p(x, y) -> float:
     return min(1.0, 2.0 * min(lo, hi))
 
 
+def o_mann_whitney_u(x, y) -> tuple[float, float, bool]:
+    """Tie-corrected normal-approximation Mann-Whitney test, ranking tie
+    runs one at a time: (U of the first sample, two-sided p, all_tied)."""
+    pooled = [float(v) for v in x] + [float(v) for v in y]
+    n1, n2 = len(x), len(y)
+    n = n1 + n2
+    order = sorted(range(n), key=lambda k: pooled[k])
+    ranks = [0.0] * n
+    tie_term = 0.0
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and pooled[order[j + 1]] == pooled[order[i]]:
+            j += 1
+        for k in order[i:j + 1]:
+            ranks[k] = 0.5 * (i + j) + 1.0
+        tie_term += (j - i + 1) ** 3 - (j - i + 1)
+        i = j + 1
+    u1 = float(np.sum(ranks[:n1])) - n1 * (n1 + 1) / 2.0
+    var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if var_u <= 0:
+        return u1, 1.0, True
+    z = u1 - n1 * n2 / 2.0
+    z -= 0.5 * np.sign(z)
+    z /= math.sqrt(var_u)
+    return u1, min(1.0, math.erfc(abs(z) / math.sqrt(2.0))), False
+
+
 def o_decompose_dense(
     y, rate: float, tau0: float = 2.0, tau1: float = 0.7, knot_spacing: float = 10.0,
     alpha: float = 8e-4, gamma: float = 1e-2, tol: float = 1e-6, max_iter: int = 5000,

@@ -342,3 +342,161 @@ class TestSmoothCommand:
         f.write_bytes(b"\xff\xfe\x80\n")
         assert main(["smooth", "--input", str(f)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestCheckOrder:
+    def test_window_seconds_one_skips_before_the_solve(self, corpus, tmp_path, capsys, monkeypatch):
+        from physiobias import features
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("decompose called")
+
+        monkeypatch.setattr(features, "decompose", no_solve)
+        assert run_extract(corpus, tmp_path, ("--window-seconds", "1")) == 2
+        err = capsys.readouterr().err
+        for i in range(1, 7):
+            assert f"skipping P{i:03d}: need >= 2 samples for statistics, got 1" in err
+
+    def test_evaluate_out_naming_a_file_fails_before_training(
+        self, features_csv, tmp_path, capsys, monkeypatch
+    ):
+        from physiobias import evaluation
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train called")
+
+        monkeypatch.setattr(evaluation, "train", no_training)
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["evaluate", "--features", str(features_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# The CLI contract: every input ends handled, in a skipped session (exit 1)
+# or in one `error: <reason>` line (exit 2), never in a traceback. Each case
+# builds its command line from the two-session corpus, its features.csv and
+# a scratch directory.
+
+def _synth_args(tmp, *flags):
+    return ["synth", "--out", str(tmp / "c"), "--participants-per-class", "1",
+            "--session-seconds", "60", *flags]
+
+
+def _a_file(tmp):
+    path = tmp / "a_file"
+    path.write_text("")
+    return path
+
+
+def _extract_args(corpus, out, sessions=None):
+    return ["extract", "--data-dir", str(sessions or corpus / "sessions"),
+            "--labels", str(corpus / "labels.csv"), "--out", str(out)]
+
+
+def _evaluate_args(features, out, *flags):
+    return ["evaluate", "--features", str(features), "--out", str(out), "--rounds", "2", *flags]
+
+
+def _overflowing_acc(corpus, features, tmp):
+    sessions = tmp / "sessions"
+    shutil.copytree(corpus / "sessions", sessions)
+    acc = sessions / "P001" / "ACC.csv"
+    lines = acc.read_text().splitlines()
+    lines[2 + 30 * 32] = "1e300,1e300,1e300"  # 30 s in: inside the aligned interval
+    acc.write_text("\n".join(lines) + "\n")
+    return _extract_args(corpus, tmp / "out", sessions)
+
+
+def _label_two(corpus, features, tmp):
+    meta, header, *rows = features.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    for row in cells:
+        row[2] = "2" if row[2] == "0" else row[2]
+    path = tmp / "features.csv"
+    path.write_text("\n".join([meta, header] + [",".join(row) for row in cells]) + "\n")
+    return _evaluate_args(path, tmp / "out")
+
+
+def _report_of(text):
+    def build(corpus, features, tmp):
+        path = tmp / "report.json"
+        path.write_text(text)
+        return ["report", "--report", str(path)]
+    return build
+
+
+CONTRACT = [
+    ("synth-participants-0", lambda c, f, t: _synth_args(t, "--participants-per-class", "0"),
+     "participants_per_class must be >= 1"),
+    ("synth-session-seconds-negative", lambda c, f, t: _synth_args(t, "--session-seconds", "-5"),
+     "session_seconds must be positive"),
+    ("synth-session-seconds-nan", lambda c, f, t: _synth_args(t, "--session-seconds", "nan"),
+     "session_seconds must be positive"),
+    ("synth-effect-size-negative", lambda c, f, t: _synth_args(t, "--effect-size", "-1"),
+     "effect_size must be >= 0"),
+    ("synth-seed-negative", lambda c, f, t: _synth_args(t, "--seed", "-1"),
+     "seed must be >= 0"),
+    ("synth-out-is-a-file",
+     lambda c, f, t: ["synth", "--out", str(_a_file(t)), "--participants-per-class", "1"],
+     "a_file"),
+    ("extract-out-is-a-file", lambda c, f, t: _extract_args(c, _a_file(t)), "a_file"),
+    ("extract-window-seconds-nan",
+     lambda c, f, t: _extract_args(c, t / "out") + ["--window-seconds", "nan"],
+     "no usable sessions"),
+    ("extract-knot-spacing-nan",
+     lambda c, f, t: _extract_args(c, t / "out") + ["--knot-spacing", "nan"],
+     "knot_spacing must be > 0"),
+    ("extract-decomp-alpha-nan",
+     lambda c, f, t: _extract_args(c, t / "out") + ["--decomp-alpha", "nan"],
+     "alpha, gamma and tol must be > 0"),
+    ("extract-overflowing-acc-row", _overflowing_acc, "skipping P001: "),
+    ("evaluate-out-is-a-file", lambda c, f, t: _evaluate_args(f, _a_file(t)), "a_file"),
+    ("evaluate-seed-negative", lambda c, f, t: _evaluate_args(f, t / "out", "--seed", "-1"),
+     "seed must be >= 0"),
+    ("evaluate-folds-parallel-0",
+     lambda c, f, t: _evaluate_args(f, t / "out", "--folds-parallel", "0"),
+     "must be >= 1, got 0"),
+    ("evaluate-importance-threshold-nan",
+     lambda c, f, t: _evaluate_args(f, t / "out", "--importance-threshold", "nan"),
+     "importance_threshold must be finite"),
+    ("evaluate-reg-lambda-nan",
+     lambda c, f, t: _evaluate_args(f, t / "out", "--reg-lambda", "nan"),
+     "reg_lambda and min_child_weight must be >= 0"),
+    ("evaluate-label-2", _label_two, "labels must be 0 or 1"),
+    ("report-on-a-list", _report_of("[]"), "not a physiobias report"),
+    ("report-nested-too-deep", _report_of("[" * 100_000 + "]" * 100_000), "recursion"),
+    ("report-number-beyond-float",
+     _report_of('{"participant_metrics": {}, "n_participants": 1, "baseline": 1' + "0" * 400 + "}"),
+     "not a physiobias report (OverflowError"),
+]
+
+
+@pytest.fixture(scope="module")
+def two_session_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("two_sessions")
+    assert main(["synth", "--out", str(root), "--participants-per-class", "1",
+                 "--session-seconds", "60"]) == 0
+    assert main(_extract_args(root, root / "features")) == 0
+    return root, root / "features" / "features.csv"
+
+
+@pytest.mark.parametrize("build, reason", [case[1:] for case in CONTRACT],
+                         ids=[case[0] for case in CONTRACT])
+def test_error_contract(two_session_corpus, tmp_path, capsys, build, reason):
+    corpus, features = two_session_corpus
+    argv = build(corpus, features, tmp_path)
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+    if reason.startswith("skipping "):
+        assert rc == 1, err
+        assert reason in err and not errors, err
+        data = from_csv(tmp_path / "out" / "features.csv")
+        assert set(data.participant_ids) == {"P002"}
+    else:
+        assert rc == 2, err
+        assert len(errors) == 1 and reason in errors[0], err

@@ -140,6 +140,16 @@ class TestMannWhitney:
         assert u == ref.statistic
         assert p == pytest.approx(ref.pvalue, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_tie_run_loop_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            n1, n2 = rng.integers(1, 30, size=2)
+            levels = rng.integers(1, 8)
+            x = rng.integers(0, levels, n1) * 0.1
+            y = rng.integers(0, levels, n2) * 0.1
+            assert mann_whitney_u(x, y) == oracles.o_mann_whitney_u(x, y)
+
     def test_all_tied(self):
         u, p, tied = mann_whitney_u([2.0, 2.0], [2.0, 2.0, 2.0])
         assert p == 1.0
