@@ -27,7 +27,6 @@ from .evaluation import (
     group_difference,
     lopo_folds,
     mann_whitney_u,
-    oversample,
 )
 from .features import (
     FEATURE_COLUMNS,

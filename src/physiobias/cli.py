@@ -2,7 +2,8 @@
 
 Every output embeds the configuration (with the seed, for the commands that
 draw random numbers) and the tool version, and carries no timestamps, so a
-rerun with the same flags is byte-identical.
+rerun with the same flags is byte-identical. In `evaluate` the seed drives
+only each fold's oversampling draw; the boosted trees draw nothing.
 Exit codes: 0 success, 1 partial failure (some sessions skipped), 2 fatal.
 The error policy lives in two places. A command raises PhysioBiasError for
 a bad flag or input file (each read converts OSError and decode errors into
@@ -60,7 +61,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--reg-lambda", type=float, default=1.0)
     p.add_argument("--min-child-weight", type=float, default=1.0)
-    p.add_argument("--subsample", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,8 +222,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         learning_rate=args.learning_rate,
         reg_lambda=args.reg_lambda,
         min_child_weight=args.min_child_weight,
-        subsample=args.subsample,
-        seed=args.seed,
     )
     args.out.mkdir(parents=True, exist_ok=True)
     report = evaluate(

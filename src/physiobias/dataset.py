@@ -57,16 +57,6 @@ class Dataset:
             raise KeyError(pid)
         return int(self.y[rows[0]])
 
-    def subset(self, rows: np.ndarray) -> "Dataset":
-        rows = np.asarray(rows)
-        return Dataset(
-            X=self.X[rows],
-            y=self.y[rows],
-            participant_ids=self.participant_ids[rows],
-            window_indices=self.window_indices[rows],
-            column_names=list(self.column_names),
-        )
-
     def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
         """Write the matrix with a `participant_id,window_index,label,...`
         header; missing cells are left empty. `meta` lands in a leading

@@ -6,8 +6,9 @@ for every time the seeded oversampling draw picks it), fits the boosted-tree
 model, predicts the held-out window sequence, smooths it, and takes the
 longest-run label as the participant verdict. The feature matrix is sorted
 once per evaluation: every fold trains on the whole matrix, with the held-out
-participant at weight 0, and filters that one presort. Reported metrics are
-participant-level; window-level metrics are kept as diagnostics.
+participant at weight 0, and filters that one presort. Every class needs
+two participants, so that each fold trains on both classes. Reported metrics
+are participant-level; window-level metrics are kept as diagnostics.
 """
 from __future__ import annotations
 
@@ -120,18 +121,6 @@ def oversample_weights(y: np.ndarray, seed: int) -> np.ndarray:
     return weights + np.bincount(extra, minlength=y.size)
 
 
-def oversample(data: Dataset, seed: int) -> Dataset:
-    """The rows of oversample_weights, each as many times as its weight: all
-    original rows first, then the minority-class duplicates.
-
-    Raises:
-        DegenerateLabels: a single class in the data.
-    """
-    weights = oversample_weights(data.y, seed)
-    rows = np.arange(data.n_rows)
-    return data.subset(np.concatenate([rows, np.repeat(rows, weights - 1)]))
-
-
 def _metrics(truths: np.ndarray, predictions: np.ndarray) -> MetricSet:
     truths = np.asarray(truths, dtype=int)
     predictions = np.asarray(predictions, dtype=int)
@@ -154,13 +143,12 @@ def _metrics(truths: np.ndarray, predictions: np.ndarray) -> MetricSet:
 
 
 def _run_fold(
-    data: Dataset, sorted_columns: SortedColumns, params: GbtParams, balance: bool, job: tuple,
+    data: Dataset, sorted_columns: SortedColumns, params: GbtParams, job: tuple,
 ) -> FoldResult:
     train_rows, test_rows, pid, fold_seed = job
     weights = np.zeros(data.n_rows, dtype=np.int64)
-    weights[train_rows] = oversample_weights(data.y[train_rows], fold_seed) if balance else 1
-    fold_params = GbtParams(**{**vars(params), "seed": fold_seed})
-    model = train(data, fold_params, weights, sorted_columns)
+    weights[train_rows] = oversample_weights(data.y[train_rows], fold_seed)
+    model = train(data, params, weights, sorted_columns)
 
     order = np.argsort(data.window_indices[test_rows], kind="stable")
     test_rows = test_rows[order]
@@ -286,7 +274,6 @@ def evaluate(
     seed: int = 0,
     top_n: int = 20,
     importance_threshold: float | None = None,
-    balance: bool = True,
     n_jobs: int = 1,
 ) -> EvalReport:
     """Full LOPO evaluation: per-fold oversample/train/predict/smooth, then
@@ -295,6 +282,8 @@ def evaluate(
     Raises:
         ParamError: top_n below 1, a negative seed, n_jobs below 1 or a
             non-finite importance_threshold.
+        InsufficientData: fewer than two participants in either class, so
+            that some fold would train on one class.
     """
     if top_n < 1:
         raise ParamError(f"top_n must be >= 1, got {top_n}")
@@ -304,13 +293,20 @@ def evaluate(
         raise ParamError(f"n_jobs (folds in parallel) must be >= 1, got {n_jobs}")
     if importance_threshold is not None and not math.isfinite(importance_threshold):
         raise ParamError(f"importance_threshold must be finite, got {importance_threshold}")
+    labels = [data.participant_label(pid) for pid in data.participants()]
+    n_biased, n_unbiased = labels.count(1), labels.count(0)
+    if n_biased < 2 or n_unbiased < 2:
+        raise InsufficientData(
+            f"evaluation needs >= 2 participants per class, got {n_biased} biased "
+            f"and {n_unbiased} unbiased"
+        )
     model_params = model_params or GbtParams()
     folds = lopo_folds(data)
     jobs = [
         (train_rows, test_rows, pid, seed + 1000 * i)
         for i, (train_rows, test_rows, pid) in enumerate(folds)
     ]
-    shared = (data, presort(data.X), model_params, balance)
+    shared = (data, presort(data.X), model_params)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_share, initargs=shared) as pool:
             results = list(pool.map(_run_shared_fold, jobs))

@@ -16,7 +16,8 @@ each column of a feature matrix is argsorted once (`presort`), a fit keeps
 the rows it trains on, and each node filters its parent's sorted order by
 the split, so no node sorts. Rows carry integer weights that multiply their
 gradients: a row of weight k splits like k copies of itself, and a row of
-weight 0 like no row at all.
+weight 0 like no row at all. Every round fits every row of nonzero weight,
+so training draws no random numbers and a fit is deterministic.
 """
 from __future__ import annotations
 
@@ -36,8 +37,6 @@ class GbtParams:
     learning_rate: float = 0.1
     reg_lambda: float = 1.0
     min_child_weight: float = 1.0  # minimum hessian sum per child
-    subsample: float = 1.0         # row fraction per round; 1.0 = bagging off
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.depth < 1 or self.rounds < 0:
@@ -46,10 +45,6 @@ class GbtParams:
             raise ParamError("learning_rate must be in (0, 1]")
         if not (self.reg_lambda >= 0 and self.min_child_weight >= 0):
             raise ParamError("reg_lambda and min_child_weight must be >= 0")
-        if not (0 < self.subsample <= 1):
-            raise ParamError("subsample must be in (0, 1]")
-        if self.seed < 0:
-            raise ParamError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -371,7 +366,6 @@ def train(
     prior = float(w @ y) / float(w.sum())
     base_score = float(np.log(prior / (1.0 - prior)))
     margin = np.full(n, base_score)
-    rng = np.random.default_rng(params.seed)
 
     trees: list[TreeNode] = []
     losses: list[float] = []
@@ -379,14 +373,7 @@ def train(
         p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
-        rw, rows, cols = w, members, sorted_columns
-        if params.subsample < 1.0:
-            # Each of a row's w copies is kept with probability subsample.
-            drawn = rng.binomial(w, params.subsample)
-            if drawn.any():
-                rw, rows = drawn, np.flatnonzero(drawn)
-                cols = _take(cols, (drawn > 0)[cols.rows], rows.size)
-        tree = _build_tree(X, rw * g, rw * h, rows, cols, 0, params)
+        tree = _build_tree(X, w * g, w * h, members, sorted_columns, 0, params)
         trees.append(tree)
         margin = margin + params.learning_rate * _tree_values(tree, X)
         losses.append(_log_loss(y, _sigmoid(margin), w))

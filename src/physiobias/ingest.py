@@ -74,9 +74,6 @@ class RawSession:
     acc: TriaxialSignal
     label: BiasLabel
 
-    def channels(self) -> dict[str, Signal | TriaxialSignal]:
-        return {"eda": self.eda, "bvp": self.bvp, "hr": self.hr, "skt": self.skt, "acc": self.acc}
-
 
 def _parse_header_line(line: str, path: Path, lineno: int, ncols: int) -> float:
     parts = [p.strip() for p in line.split(",")]
@@ -93,25 +90,23 @@ def _parse_header_line(line: str, path: Path, lineno: int, ncols: int) -> float:
     return values[0]
 
 
-def parse_e4_csv(
-    path: str | Path,
-    channel: str,
-    acc_counts_per_g: float = ACC_COUNTS_PER_G,
-) -> Signal | TriaxialSignal:
+def parse_e4_csv(path: str | Path, channel: str) -> Signal | TriaxialSignal:
     """Parse one E4 channel file.
 
     Args:
         path: CSV file in E4 layout.
         channel: one of EDA, BVP, HR, TEMP, ACC (case-insensitive).
-        acc_counts_per_g: divisor converting ACC device counts to g.
 
     Returns:
-        Signal for single-column channels, TriaxialSignal for ACC.
+        Signal for single-column channels, TriaxialSignal for ACC (in g:
+        counts divided by ACC_COUNTS_PER_G).
 
     Raises:
         ParseError: unreadable or undecodable file, malformed header or
             non-numeric row (with line number).
         EmptySignal: header present but no data rows.
+        SignalError: a sample at or above signals.MAX_ABS_SAMPLE in
+            magnitude (half of it on an ACC axis, in g).
     """
     path = Path(path)
     channel = channel.upper()
@@ -150,20 +145,16 @@ def parse_e4_csv(
         bad = int(np.argwhere(~np.isfinite(data))[0, 0]) + 3
         raise ParseError(f"{path}:{bad}: non-finite sample")
     if channel == "ACC":
-        return TriaxialSignal(start_time=start_time, rate=rate, samples=data / acc_counts_per_g)
+        return TriaxialSignal(start_time=start_time, rate=rate, samples=data / ACC_COUNTS_PER_G)
     return Signal(start_time=start_time, rate=rate, samples=data[:, 0])
 
 
-def write_e4_csv(
-    signal: Signal | TriaxialSignal,
-    path: str | Path,
-    acc_counts_per_g: float = ACC_COUNTS_PER_G,
-) -> None:
+def write_e4_csv(signal: Signal | TriaxialSignal, path: str | Path) -> None:
     """Write a signal back to E4 CSV layout (inverse of parse_e4_csv)."""
     path = Path(path)
     if isinstance(signal, TriaxialSignal):
         ncols = 3
-        body = signal.samples * acc_counts_per_g
+        body = signal.samples * ACC_COUNTS_PER_G
         lines = [",".join(repr(float(v)) for v in row) for row in body]
     else:
         ncols = 1
@@ -242,7 +233,6 @@ def assemble_session(
     session_dir: str | Path,
     labels: dict[str, BiasLabel],
     min_duration: float = MIN_SESSION_SECONDS,
-    acc_counts_per_g: float = ACC_COUNTS_PER_G,
 ) -> RawSession:
     """Parse one session directory into an aligned, labeled RawSession.
 
@@ -271,7 +261,7 @@ def assemble_session(
         fpath = session_dir / filename
         if not fpath.exists():
             raise MissingChannel(f"{participant_id}: missing {filename}")
-        parsed[name] = parse_e4_csv(fpath, filename.removesuffix(".csv"), acc_counts_per_g)
+        parsed[name] = parse_e4_csv(fpath, filename.removesuffix(".csv"))
 
     t0 = max(s.start_time for s in parsed.values())
     t1 = min(s.end_time for s in parsed.values())

@@ -1,7 +1,9 @@
 """Signal containers, accelerometer magnitude, and fixed-length windowing.
 
 Every channel is carried as a :class:`Signal` (uniform rate, absolute start
-time). Windowing cuts an aligned multi-channel session into contiguous,
+time) whose samples are finite and below MAX_ABS_SAMPLE in magnitude. Below
+that bound, fourth powers (kurtosis) and their sums over a window stay
+finite. Windowing cuts an aligned multi-channel session into contiguous,
 non-overlapping windows, one (n_windows, samples per window) matrix per
 channel whose row k is window k; a trailing partial window is discarded,
 never padded.
@@ -16,6 +18,15 @@ from .errors import InsufficientData, ParamError, SignalError
 
 DEFAULT_WINDOW_SECONDS = 5.0
 
+MAX_ABS_SAMPLE = 1e75
+
+
+def _check_samples(samples: np.ndarray, bound: float) -> None:
+    """Raise SignalError unless every sample is finite and below bound in
+    magnitude (a NaN fails both comparisons)."""
+    if not -bound < samples.min() <= samples.max() < bound:
+        raise SignalError(f"samples must be finite and below {bound:g} in magnitude")
+
 
 @dataclass
 class Signal:
@@ -24,7 +35,8 @@ class Signal:
     Args:
         start_time: unix seconds of the first sample.
         rate: sampling rate in Hz, > 0.
-        samples: 1-D array of finite values (channel-specific units).
+        samples: 1-D array of values below MAX_ABS_SAMPLE in magnitude
+            (channel-specific units).
     """
 
     start_time: float
@@ -37,8 +49,7 @@ class Signal:
             raise SignalError(f"rate must be > 0, got {self.rate}")
         if self.samples.ndim != 1 or self.samples.size < 1:
             raise SignalError("samples must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.samples)):
-            raise SignalError("samples must be finite")
+        _check_samples(self.samples, MAX_ABS_SAMPLE)
 
     @property
     def duration(self) -> float:
@@ -63,8 +74,9 @@ class TriaxialSignal:
             raise SignalError(f"rate must be > 0, got {self.rate}")
         if self.samples.ndim != 2 or self.samples.shape[1] != 3 or self.samples.shape[0] < 1:
             raise SignalError("samples must be a non-empty (N, 3) array")
-        if not np.all(np.isfinite(self.samples)):
-            raise SignalError("samples must be finite")
+        # Half the bound per axis keeps every row's norm (at most sqrt(3)
+        # times its largest axis) below it, so magnitude() is a valid Signal.
+        _check_samples(self.samples, MAX_ABS_SAMPLE / 2)
 
     @property
     def duration(self) -> float:
@@ -76,13 +88,8 @@ class TriaxialSignal:
 
 
 def magnitude(acc: TriaxialSignal) -> Signal:
-    """Per-sample Euclidean norm of the three acceleration axes.
-
-    Raises:
-        SignalError: a norm overflows to inf.
-    """
-    with np.errstate(over="ignore"):
-        mag = np.sqrt(np.sum(acc.samples * acc.samples, axis=1))
+    """Per-sample Euclidean norm of the three acceleration axes."""
+    mag = np.sqrt(np.sum(acc.samples * acc.samples, axis=1))
     return Signal(start_time=acc.start_time, rate=acc.rate, samples=mag)
 
 

@@ -6,7 +6,8 @@ classes share the same cardiovascular, temperature and movement models; the
 extra sudomotor pulses with boosted amplitudes, at a rate and size scaled by
 `effect_size`. With effect_size 0 the classes are statistically identical.
 The extra activity can be confined to the final third of the session to
-mimic a late-onset response.
+mimic a late-onset response. The pulse rates and amplitudes are module
+constants; only the flags of `physiobias synth` are parameters.
 """
 from __future__ import annotations
 
@@ -22,6 +23,20 @@ from .ingest import ACC_COUNTS_PER_G, write_e4_csv
 from .signals import Signal, TriaxialSignal
 
 RATES = {"eda": 4.0, "bvp": 64.0, "hr": 1.0, "skt": 4.0, "acc": 32.0}
+
+# Electrodermal generator: sudomotor pulses shared by everyone, and the
+# extra rate and amplitude that each unit of effect_size adds.
+BASE_SCR_PER_MIN = 6.0
+SCR_AMP_MEAN = 0.35          # microsiemens
+SCR_AMP_SD = 0.12
+EXTRA_RATE_PER_EFFECT = 1.0  # extra pulses/min per unit effect, per base pulse/min
+AMP_GAIN_PER_EFFECT = 0.4    # amplitude multiplier slope
+
+# Longest session and largest effect accepted: twice the longest E4
+# recording (24 h), and an effect of 600 extra pulses a minute, more than two
+# per EDA sample.
+MAX_SESSION_SECONDS = 172_800.0
+MAX_EFFECT_SIZE = 100.0
 
 _BIASED_CATEGORIES = (
     "strong preference for White",
@@ -44,19 +59,16 @@ class SynthParams:
     effect_size: float = 3.0
     effect_location: str = "uniform"  # "uniform" or "end" (final third)
     seed: int = 0
-    base_scr_per_min: float = 6.0     # sudomotor pulse rate shared by everyone
-    scr_amp_mean: float = 0.35        # microsiemens
-    scr_amp_sd: float = 0.12
-    extra_rate_per_effect: float = 1.0   # extra pulses/min per unit effect
-    amp_gain_per_effect: float = 0.4     # amplitude multiplier slope
 
     def __post_init__(self) -> None:
         if self.participants_per_class < 1:
             raise ParamError(f"participants_per_class must be >= 1, got {self.participants_per_class}")
-        if not 0 < self.session_seconds < np.inf:
-            raise ParamError(f"session_seconds must be positive and finite, got {self.session_seconds}")
-        if not 0 <= self.effect_size < np.inf:
-            raise ParamError(f"effect_size must be >= 0 and finite, got {self.effect_size}")
+        if not 0 < self.session_seconds <= MAX_SESSION_SECONDS:
+            raise ParamError(f"session_seconds must be positive and at most "
+                             f"{MAX_SESSION_SECONDS:g} (48 h), got {self.session_seconds}")
+        if not 0 <= self.effect_size <= MAX_EFFECT_SIZE:
+            raise ParamError(f"effect_size must be >= 0 and at most {MAX_EFFECT_SIZE:g}, "
+                             f"got {self.effect_size}")
         if self.effect_location not in ("uniform", "end"):
             raise ParamError("effect_location must be 'uniform' or 'end'")
         if self.seed < 0:
@@ -95,29 +107,23 @@ def _gen_eda(rng: np.random.Generator, p: SynthParams, biased: bool, n: int) -> 
     trend = rng.uniform(-0.1, 0.1) * t / max(t[-1], 1.0)
     tonic = level + drift + trend
 
-    driver = _pulse_train(
-        rng, n, rate, p.base_scr_per_min, p.scr_amp_mean, p.scr_amp_sd, (0.0, 1.0)
-    )
+    driver = _pulse_train(rng, n, rate, BASE_SCR_PER_MIN, SCR_AMP_MEAN, SCR_AMP_SD, (0.0, 1.0))
     if biased and p.effect_size > 0:
-        boost_amp = p.scr_amp_mean * (1.0 + p.amp_gain_per_effect * p.effect_size)
-        extra_rate = p.base_scr_per_min * p.extra_rate_per_effect * p.effect_size
+        boost_amp = SCR_AMP_MEAN * (1.0 + AMP_GAIN_PER_EFFECT * p.effect_size)
+        extra_rate = BASE_SCR_PER_MIN * EXTRA_RATE_PER_EFFECT * p.effect_size
         if p.effect_location == "end":
             # Late-onset response: quiet first third, a mild ramp over the
             # middle third, and the bulk of the extra activity surging in
             # the final third. A response confined strictly to the final
             # third cannot win the longest-run verdict, so the ramp keeps
             # late-onset participants detectable.
-            ramp_amp = p.scr_amp_mean * (1.0 + 0.5 * p.amp_gain_per_effect * p.effect_size)
+            ramp_amp = SCR_AMP_MEAN * (1.0 + 0.5 * AMP_GAIN_PER_EFFECT * p.effect_size)
+            driver += _pulse_train(rng, n, rate, 0.6 * extra_rate, ramp_amp, SCR_AMP_SD, (0.45, 1.0))
             driver += _pulse_train(
-                rng, n, rate, 0.6 * extra_rate, ramp_amp, p.scr_amp_sd, (0.45, 1.0)
-            )
-            driver += _pulse_train(
-                rng, n, rate, 1.5 * extra_rate, boost_amp, p.scr_amp_sd, (2.0 / 3.0, 1.0)
+                rng, n, rate, 1.5 * extra_rate, boost_amp, SCR_AMP_SD, (2.0 / 3.0, 1.0)
             )
         else:
-            driver += _pulse_train(
-                rng, n, rate, extra_rate, boost_amp, p.scr_amp_sd, (0.0, 1.0)
-            )
+            driver += _pulse_train(rng, n, rate, extra_rate, boost_amp, SCR_AMP_SD, (0.0, 1.0))
 
     kernel = bateman_kernel(2.0, 0.7, rate, min(n, int(40 * rate)))
     phasic = np.convolve(driver, kernel)[:n]

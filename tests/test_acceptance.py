@@ -12,10 +12,10 @@ import pytest
 
 import oracles
 from conftest import make_dataset
-from physiobias import gbt
+from physiobias import evaluation, gbt
 from physiobias.cli import main
 from physiobias.eda import DecompParams, bateman_kernel, decompose
-from physiobias.evaluation import lopo_folds, mann_whitney_u, oversample
+from physiobias.evaluation import lopo_folds, mann_whitney_u
 from physiobias.features import (
     RRSeries,
     detect_beats,
@@ -218,7 +218,7 @@ def test_criterion_4_gbt():
            f"loss monotone {ok_loss}, deterministic {ok_det}")
 
 
-def test_criterion_5_lopo_harness():
+def test_criterion_5_lopo_harness(monkeypatch):
     rng = np.random.default_rng(13)
     X, y, pids = [], [], []
     for i in range(46):
@@ -240,12 +240,21 @@ def test_criterion_5_lopo_harness():
     baseline = 26 / 46
     ok_baseline = abs(baseline - 0.565) <= 1e-3
 
-    ok_balance = True
-    for i, (train_rows, _, _) in enumerate(folds):
-        balanced = oversample(data.subset(train_rows), seed=i)
-        n0 = int(np.sum(balanced.y == 0))
-        n1 = int(np.sum(balanced.y == 1))
-        if abs(n0 - n1) > 1:
+    # The row weights every fold trains on: the held-out participant at 0,
+    # the training rows oversampled.
+    trained_weights = []
+
+    def recording_train(data, params, weights, sorted_columns):
+        trained_weights.append(weights)
+        return train(data, params, weights, sorted_columns)
+
+    monkeypatch.setattr(evaluation, "train", recording_train)
+    evaluation.evaluate(data, GbtParams(depth=1, rounds=1), seed=3)
+    ok_balance = len(trained_weights) == len(folds)
+    for weights, (_, test_rows, _) in zip(trained_weights, folds):
+        n0 = int(weights[data.y == 0].sum())
+        n1 = int(weights[data.y == 1].sum())
+        if abs(n0 - n1) > 1 or weights[test_rows].any():
             ok_balance = False
             break
 

@@ -407,6 +407,16 @@ def _overflowing_acc(corpus, features, tmp):
     return _extract_args(corpus, tmp / "out", sessions)
 
 
+def _huge_eda_sample(corpus, features, tmp):
+    sessions = tmp / "sessions"
+    shutil.copytree(corpus / "sessions", sessions)
+    eda = sessions / "P001" / "EDA.csv"
+    lines = eda.read_text().splitlines()
+    lines[2 + 30 * 4] = "1e300"  # finite, but its fourth power is not
+    eda.write_text("\n".join(lines) + "\n")
+    return _extract_args(corpus, tmp / "out", sessions)
+
+
 def _label_two(corpus, features, tmp):
     meta, header, *rows = features.read_text().splitlines()
     cells = [row.split(",") for row in rows]
@@ -432,8 +442,12 @@ CONTRACT = [
      "session_seconds must be positive"),
     ("synth-session-seconds-nan", lambda c, f, t: _synth_args(t, "--session-seconds", "nan"),
      "session_seconds must be positive"),
+    ("synth-session-seconds-1e300", lambda c, f, t: _synth_args(t, "--session-seconds", "1e300"),
+     "session_seconds must be positive and at most 172800"),
     ("synth-effect-size-negative", lambda c, f, t: _synth_args(t, "--effect-size", "-1"),
      "effect_size must be >= 0"),
+    ("synth-effect-size-1e300", lambda c, f, t: _synth_args(t, "--effect-size", "1e300"),
+     "effect_size must be >= 0 and at most 100"),
     ("synth-seed-negative", lambda c, f, t: _synth_args(t, "--seed", "-1"),
      "seed must be >= 0"),
     ("synth-out-is-a-file",
@@ -450,6 +464,7 @@ CONTRACT = [
      lambda c, f, t: _extract_args(c, t / "out") + ["--decomp-alpha", "nan"],
      "alpha, gamma and tol must be > 0"),
     ("extract-overflowing-acc-row", _overflowing_acc, "skipping P001: "),
+    ("extract-eda-sample-1e300", _huge_eda_sample, "skipping P001: "),
     ("evaluate-out-is-a-file", lambda c, f, t: _evaluate_args(f, _a_file(t)), "a_file"),
     ("evaluate-seed-negative", lambda c, f, t: _evaluate_args(f, t / "out", "--seed", "-1"),
      "seed must be >= 0"),
@@ -463,6 +478,8 @@ CONTRACT = [
      lambda c, f, t: _evaluate_args(f, t / "out", "--reg-lambda", "nan"),
      "reg_lambda and min_child_weight must be >= 0"),
     ("evaluate-label-2", _label_two, "labels must be 0 or 1"),
+    ("evaluate-one-participant-per-class", lambda c, f, t: _evaluate_args(f, t / "out"),
+     "needs >= 2 participants per class, got 1 biased and 1 unbiased"),
     ("report-on-a-list", _report_of("[]"), "not a physiobias report"),
     ("report-nested-too-deep", _report_of("[" * 100_000 + "]" * 100_000), "recursion"),
     ("report-number-beyond-float",

@@ -11,7 +11,6 @@ from physiobias.evaluation import (
     group_difference,
     lopo_folds,
     mann_whitney_u,
-    oversample,
     oversample_weights,
 )
 from physiobias.gbt import GbtParams
@@ -63,54 +62,39 @@ class TestLopoFolds:
 
 class TestOversample:
     def test_balances_counts(self):
-        rng = np.random.default_rng(0)
-        data = make_dataset(rng.normal(size=(900, 3)),
-                            np.r_[np.ones(500, int), np.zeros(400, int)])
-        out = oversample(data, seed=1)
-        assert int(np.sum(out.y == 0)) == int(np.sum(out.y == 1)) == 500
+        y = np.r_[np.ones(500, int), np.zeros(400, int)]
+        weights = oversample_weights(y, seed=1)
+        assert int(weights[y == 0].sum()) == int(weights[y == 1].sum()) == 500
 
     def test_originals_retained_and_majority_untouched(self):
-        rng = np.random.default_rng(1)
-        data = make_dataset(rng.normal(size=(30, 2)),
-                            np.r_[np.ones(20, int), np.zeros(10, int)])
-        out = oversample(data, seed=3)
-        assert out.n_rows == 40
-        np.testing.assert_array_equal(out.X[:30], data.X)
-        # every appended row duplicates a minority (label 0) original
-        assert np.all(out.y[30:] == 0)
-        for row in out.X[30:]:
-            assert any(np.array_equal(row, orig) for orig in data.X[data.y == 0])
+        y = np.r_[np.ones(20, int), np.zeros(10, int)]
+        weights = oversample_weights(y, seed=3)
+        assert weights.dtype == np.int64 and weights.sum() == 40
+        assert np.all(weights >= 1)  # every original row kept
+        # every extra unit of weight lands on a minority (label 0) row
+        assert np.all(weights[y == 1] == 1)
 
     def test_balanced_input_unchanged(self):
-        rng = np.random.default_rng(2)
-        data = make_dataset(rng.normal(size=(20, 2)),
-                            np.r_[np.ones(10, int), np.zeros(10, int)])
-        out = oversample(data, seed=0)
-        assert out.n_rows == 20
+        y = np.r_[np.ones(10, int), np.zeros(10, int)]
+        np.testing.assert_array_equal(oversample_weights(y, seed=0), np.ones(20, int))
 
     def test_deterministic(self):
-        rng = np.random.default_rng(3)
-        data = make_dataset(rng.normal(size=(50, 2)),
-                            np.r_[np.ones(35, int), np.zeros(15, int)])
-        a = oversample(data, seed=9)
-        b = oversample(data, seed=9)
-        np.testing.assert_array_equal(a.X, b.X)
+        y = np.r_[np.ones(35, int), np.zeros(15, int)]
+        np.testing.assert_array_equal(oversample_weights(y, seed=9), oversample_weights(y, seed=9))
+        assert not np.array_equal(oversample_weights(y, seed=9), oversample_weights(y, seed=10))
 
     def test_single_class_rejected(self):
-        data = make_dataset(np.zeros((4, 2)), np.ones(4, int))
         with pytest.raises(DegenerateLabels):
-            oversample(data, seed=0)
+            oversample_weights(np.ones(4, int), seed=0)
 
-    def test_rows_expand_the_weights(self):
-        rng = np.random.default_rng(4)
-        data = make_dataset(rng.normal(size=(40, 2)),
-                            np.r_[np.ones(28, int), np.zeros(12, int)])
-        weights = oversample_weights(data.y, seed=5)
-        assert weights.sum() == 56
-        assert np.all(weights[data.y == 1] == 1) and np.all(weights >= 1)
-        out = oversample(data, seed=5)
+    def test_weights_count_the_seeded_draws(self):
+        # One uniform draw with replacement over the minority rows per
+        # missing row; each pick adds one to that row's weight.
+        y = np.r_[np.ones(28, int), np.zeros(12, int)]
+        minority = np.flatnonzero(y == 0)
+        picks = minority[np.random.default_rng(5).integers(0, minority.size, size=16)]
         np.testing.assert_array_equal(
-            out.X, data.X[np.r_[np.arange(40), np.repeat(np.arange(40), weights - 1)]]
+            oversample_weights(y, seed=5), 1 + np.bincount(picks, minlength=y.size)
         )
 
 

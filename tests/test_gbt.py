@@ -62,7 +62,7 @@ class TestTrain:
 
     def test_deterministic(self):
         data = xor_dataset()
-        params = GbtParams(depth=3, rounds=20, subsample=0.8, seed=11)
+        params = GbtParams(depth=3, rounds=20)
         a = train(data, params)
         b = train(data, params)
         dump = lambda m: json.dumps([gbt._node_to_dict(t) for t in m.trees], sort_keys=True)
@@ -207,7 +207,8 @@ class TestRowWeights:
         data, weights = _weighted_data(11)
         params = GbtParams(depth=3, rounds=5, learning_rate=0.3, min_child_weight=5.0)
         weighted = train(data, params, weights)
-        copies = train(data.subset(np.repeat(np.arange(data.n_rows), weights)), params)
+        rows = np.repeat(np.arange(data.n_rows), weights)
+        copies = train(make_dataset(data.X[rows], data.y[rows]), params)
         assert weighted.base_score == copies.base_score
         _assert_same_trees(_trees(weighted), _trees(copies))
         np.testing.assert_allclose(weighted.train_losses, copies.train_losses, rtol=1e-12)
@@ -217,7 +218,7 @@ class TestRowWeights:
         params = GbtParams(depth=3, rounds=5, learning_rate=0.3, min_child_weight=5.0)
         kept = weights > 0
         weighted = train(data, params, weights)
-        removed = train(data.subset(np.flatnonzero(kept)), params, weights[kept])
+        removed = train(make_dataset(data.X[kept], data.y[kept]), params, weights[kept])
         assert weighted.base_score == removed.base_score
         _assert_same_trees(_trees(weighted), _trees(removed))
         np.testing.assert_array_equal(

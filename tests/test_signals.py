@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from physiobias.errors import InsufficientData, ParamError
+from physiobias.errors import InsufficientData, ParamError, SignalError
 from physiobias.signals import (
+    MAX_ABS_SAMPLE,
     Signal,
     TriaxialSignal,
     magnitude,
@@ -32,6 +33,14 @@ class TestSignal:
         with pytest.raises(ValueError):
             Signal(0.0, 4.0, np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("value", [1e75, -1e75, np.inf, 1e300])
+    def test_rejects_samples_at_the_bound(self, value):
+        with pytest.raises(SignalError, match="below 1e\\+75"):
+            Signal(0.0, 4.0, np.array([1.0, value]))
+
+    def test_accepts_samples_below_the_bound(self):
+        assert Signal(0.0, 4.0, np.array([-9.9e74, 9.9e74])).samples.max() == 9.9e74
+
     def test_duration(self):
         s = Signal(10.0, 4.0, np.zeros(8))
         assert s.duration == 2.0
@@ -51,6 +60,13 @@ class TestMagnitude:
         acc = TriaxialSignal(5.0, 32.0, np.ones((10, 3)))
         out = magnitude(acc)
         assert out.rate == 32.0 and out.start_time == 5.0
+
+    def test_largest_accepted_axes_keep_the_norm_in_bounds(self):
+        with pytest.raises(SignalError):
+            TriaxialSignal(0.0, 32.0, np.full((1, 3), MAX_ABS_SAMPLE / 2))
+        below = np.nextafter(MAX_ABS_SAMPLE / 2, 0)
+        mag = magnitude(TriaxialSignal(0.0, 32.0, np.full((2, 3), -below))).samples
+        assert np.all(mag < MAX_ABS_SAMPLE)
 
     def test_bounds(self):
         rng = np.random.default_rng(0)
