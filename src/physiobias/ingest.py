@@ -29,6 +29,18 @@ ACC_COUNTS_PER_G = 64.0
 # Sessions shorter than this after alignment carry too few windows to use.
 MIN_SESSION_SECONDS = 30.0
 
+# Physically plausible sample ranges of the E4 sensors, (low, high, unit) in
+# the parsed units; EDA keeps 0, which lost skin contact reads. BVP and HR
+# have no range.
+PLAUSIBLE_RANGES = {
+    "EDA": (0.0, 100.0, "uS"),
+    "ACC": (-2.0, 2.0, "g"),
+    "TEMP": (-40.0, 115.0, "degC"),
+}
+
+# Rows that write_e4_csv formats per write: about 1 MB of text for BVP.
+WRITE_BLOCK_ROWS = 65_536
+
 CHANNEL_FILES = {
     "eda": "EDA.csv",
     "bvp": "BVP.csv",
@@ -102,11 +114,12 @@ def parse_e4_csv(path: str | Path, channel: str) -> Signal | TriaxialSignal:
         counts divided by ACC_COUNTS_PER_G).
 
     Raises:
-        ParseError: unreadable or undecodable file, malformed header or
-            non-numeric row (with line number).
+        ParseError: unreadable or undecodable file, malformed header,
+            non-numeric row, non-finite sample, or a sample outside the
+            channel's PLAUSIBLE_RANGES (with line number and channel).
         EmptySignal: header present but no data rows.
-        SignalError: a sample at or above signals.MAX_ABS_SAMPLE in
-            magnitude (half of it on an ACC axis, in g).
+        SignalError: a BVP or HR sample at or above signals.MAX_ABS_SAMPLE
+            in magnitude.
     """
     path = Path(path)
     channel = channel.upper()
@@ -141,29 +154,44 @@ def parse_e4_csv(path: str | Path, channel: str) -> Signal | TriaxialSignal:
         raise EmptySignal(f"{path}: no data rows")
 
     data = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(data)):
-        bad = int(np.argwhere(~np.isfinite(data))[0, 0]) + 3
-        raise ParseError(f"{path}:{bad}: non-finite sample")
     if channel == "ACC":
-        return TriaxialSignal(start_time=start_time, rate=rate, samples=data / ACC_COUNTS_PER_G)
+        data /= ACC_COUNTS_PER_G
+    lo, hi, unit = PLAUSIBLE_RANGES.get(channel, (-np.inf, np.inf, ""))
+    bad = ~(np.isfinite(data) & (data >= lo) & (data <= hi))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        value = data[row, col]
+        # Rows skip blank lines; find the line of the row only on this path.
+        lineno = [i for i, line in enumerate(lines[2:], start=3) if line.strip()][row]
+        if not np.isfinite(value):
+            raise ParseError(f"{path}:{lineno}: non-finite {channel} sample")
+        raise ParseError(f"{path}:{lineno}: {channel} sample {value:g} {unit} is outside "
+                         f"the plausible range [{lo:g}, {hi:g}] {unit}")
+    if channel == "ACC":
+        return TriaxialSignal(start_time=start_time, rate=rate, samples=data)
     return Signal(start_time=start_time, rate=rate, samples=data[:, 0])
 
 
 def write_e4_csv(signal: Signal | TriaxialSignal, path: str | Path) -> None:
-    """Write a signal back to E4 CSV layout (inverse of parse_e4_csv)."""
-    path = Path(path)
-    if isinstance(signal, TriaxialSignal):
-        ncols = 3
-        body = signal.samples * ACC_COUNTS_PER_G
-        lines = [",".join(repr(float(v)) for v in row) for row in body]
-    else:
-        ncols = 1
-        lines = [repr(float(v)) for v in signal.samples]
-    header = [
-        ",".join([repr(float(signal.start_time))] * ncols),
-        ",".join([repr(float(signal.rate))] * ncols),
-    ]
-    path.write_text("\n".join(header + lines) + "\n")
+    """Write a signal back to E4 CSV layout (inverse of parse_e4_csv).
+
+    Every sample is written as its shortest round-tripping repr, formatted
+    and joined by C-level map/join over WRITE_BLOCK_ROWS rows at a time, so
+    the transient memory stays bounded whatever the session length."""
+    acc = isinstance(signal, TriaxialSignal)
+    ncols = 3 if acc else 1
+    samples = signal.samples
+    with Path(path).open("w") as fh:
+        fh.write(",".join([repr(float(signal.start_time))] * ncols) + "\n")
+        fh.write(",".join([repr(float(signal.rate))] * ncols) + "\n")
+        for start in range(0, samples.shape[0], WRITE_BLOCK_ROWS):
+            block = samples[start:start + WRITE_BLOCK_ROWS]
+            if acc:
+                cells = list(map(repr, (block * ACC_COUNTS_PER_G).ravel().tolist()))
+                lines = map(",".join, zip(cells[0::3], cells[1::3], cells[2::3]))
+            else:
+                lines = map(repr, block.tolist())
+            fh.write("\n".join(lines) + "\n")
 
 
 def map_iat_category(category: str) -> BiasLabel:

@@ -12,14 +12,18 @@ constants; only the flags of `physiobias synth` are parameters.
 from __future__ import annotations
 
 import csv
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .eda import bateman_kernel
 from .errors import ParamError
-from .ingest import ACC_COUNTS_PER_G, write_e4_csv
+from .ingest import ACC_COUNTS_PER_G, PLAUSIBLE_RANGES, write_e4_csv
 from .signals import Signal, TriaxialSignal
 
 RATES = {"eda": 4.0, "bvp": 64.0, "hr": 1.0, "skt": 4.0, "acc": 32.0}
@@ -128,7 +132,8 @@ def _gen_eda(rng: np.random.Generator, p: SynthParams, biased: bool, n: int) -> 
     kernel = bateman_kernel(2.0, 0.7, rate, min(n, int(40 * rate)))
     phasic = np.convolve(driver, kernel)[:n]
     noise = rng.normal(0.0, 0.005, size=n)
-    return np.maximum(tonic + phasic + noise, 0.01)
+    # The E4 sensor saturates at its range; extract rejects samples above it.
+    return np.clip(tonic + phasic + noise, 0.01, PLAUSIBLE_RANGES["EDA"][1])
 
 
 def _gen_bvp(rng: np.random.Generator, n: int, heart_hz: float) -> np.ndarray:
@@ -165,8 +170,53 @@ def _gen_acc_counts(rng: np.random.Generator, n: int) -> np.ndarray:
     return counts
 
 
+def _write_session(sessions_dir: Path, params: SynthParams, idx: int,
+                   stream: np.random.SeedSequence) -> tuple[str, str]:
+    """Generate participant idx from its own seed stream and write its five
+    channel files; returns its labels.csv row. Module-level, so that a worker
+    process can receive it under any start method."""
+    biased = idx < params.participants_per_class
+    pid = f"P{idx + 1:03d}"
+    rng = np.random.default_rng(stream)
+    category_pool = _BIASED_CATEGORIES if biased else _UNBIASED_CATEGORIES
+
+    # Channel start offsets exercise alignment trimming on ingest.
+    base_start = 1.6e9 + idx * 10000.0
+    offsets = {"eda": 0.0, "bvp": 0.5, "hr": 1.0, "skt": 0.25, "acc": 0.0}
+    pad = 2.0  # generated beyond the common interval, trimmed on ingest
+
+    heart_hz = rng.uniform(0.95, 1.5)
+    session = sessions_dir / pid
+    session.mkdir(exist_ok=True)
+
+    def n_samples(channel: str) -> int:
+        return int(round((params.session_seconds + pad) * RATES[channel]))
+
+    eda = _gen_eda(rng, params, biased, n_samples("eda"))
+    bvp = _gen_bvp(rng, n_samples("bvp"), heart_hz)
+    hr = _gen_hr(rng, n_samples("hr"), heart_hz)
+    skt = _gen_skt(rng, n_samples("skt"))
+    acc_counts = _gen_acc_counts(rng, n_samples("acc"))
+
+    write_e4_csv(Signal(base_start + offsets["eda"], RATES["eda"], eda), session / "EDA.csv")
+    write_e4_csv(Signal(base_start + offsets["bvp"], RATES["bvp"], bvp), session / "BVP.csv")
+    write_e4_csv(Signal(base_start + offsets["hr"], RATES["hr"], hr), session / "HR.csv")
+    write_e4_csv(Signal(base_start + offsets["skt"], RATES["skt"], skt), session / "TEMP.csv")
+    write_e4_csv(
+        TriaxialSignal(base_start + offsets["acc"], RATES["acc"], acc_counts / ACC_COUNTS_PER_G),
+        session / "ACC.csv",
+    )
+    return pid, category_pool[idx % len(category_pool)]
+
+
 def generate_corpus(out_dir: str | Path, params: SynthParams) -> tuple[Path, Path]:
     """Write session directories and the labels CSV.
+
+    Participants are written in parallel, one worker process per available
+    CPU at most. Each draws from its own stream of SeedSequence(seed).spawn,
+    so the files do not depend on the number of workers. The workers are
+    spawned and import the caller's main module, so a script that calls
+    this needs the `if __name__ == "__main__":` guard.
 
     Returns:
         (sessions_dir, labels_csv_path)
@@ -175,44 +225,13 @@ def generate_corpus(out_dir: str | Path, params: SynthParams) -> tuple[Path, Pat
     sessions_dir = out_dir / "sessions"
     sessions_dir.mkdir(parents=True, exist_ok=True)
 
-    root = np.random.SeedSequence(params.seed)
     total = 2 * params.participants_per_class
-    streams = root.spawn(total)
-
-    rows = []
-    for idx in range(total):
-        biased = idx < params.participants_per_class
-        pid = f"P{idx + 1:03d}"
-        rng = np.random.default_rng(streams[idx])
-        category_pool = _BIASED_CATEGORIES if biased else _UNBIASED_CATEGORIES
-        rows.append((pid, category_pool[idx % len(category_pool)]))
-
-        # Channel start offsets exercise alignment trimming on ingest.
-        base_start = 1.6e9 + idx * 10000.0
-        offsets = {"eda": 0.0, "bvp": 0.5, "hr": 1.0, "skt": 0.25, "acc": 0.0}
-        pad = 2.0  # generated beyond the common interval, trimmed on ingest
-
-        heart_hz = rng.uniform(0.95, 1.5)
-        session = sessions_dir / pid
-        session.mkdir(exist_ok=True)
-
-        def n_samples(channel: str) -> int:
-            return int(round((params.session_seconds + pad) * RATES[channel]))
-
-        eda = _gen_eda(rng, params, biased, n_samples("eda"))
-        bvp = _gen_bvp(rng, n_samples("bvp"), heart_hz)
-        hr = _gen_hr(rng, n_samples("hr"), heart_hz)
-        skt = _gen_skt(rng, n_samples("skt"))
-        acc_counts = _gen_acc_counts(rng, n_samples("acc"))
-
-        write_e4_csv(Signal(base_start + offsets["eda"], RATES["eda"], eda), session / "EDA.csv")
-        write_e4_csv(Signal(base_start + offsets["bvp"], RATES["bvp"], bvp), session / "BVP.csv")
-        write_e4_csv(Signal(base_start + offsets["hr"], RATES["hr"], hr), session / "HR.csv")
-        write_e4_csv(Signal(base_start + offsets["skt"], RATES["skt"], skt), session / "TEMP.csv")
-        write_e4_csv(
-            TriaxialSignal(base_start + offsets["acc"], RATES["acc"], acc_counts / ACC_COUNTS_PER_G),
-            session / "ACC.csv",
-        )
+    streams = np.random.SeedSequence(params.seed).spawn(total)
+    workers = min(len(os.sched_getaffinity(0)), total)
+    # spawn, not fork: numpy's BLAS has started threads in this process.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        rows = list(pool.map(_write_session, repeat(sessions_dir), repeat(params),
+                             range(total), streams))
 
     labels_path = out_dir / "labels.csv"
     with labels_path.open("w", newline="") as fh:

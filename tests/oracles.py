@@ -478,3 +478,21 @@ def o_train_duplicated(X, y, weights, depth: int, rounds: int, learning_rate: fl
         trees.append(tree)
         margin = margin + learning_rate * values(tree, np.arange(n))
     return base_score, trees
+
+
+def o_write_e4_csv(signal, path) -> None:
+    """Reference E4 writer: the whole file as one string, one repr per
+    sample. ACC (an (N, 3) sample array, in g) goes back to counts at 64 per
+    g, one comma-joined row per line."""
+    if signal.samples.ndim == 2:
+        ncols = 3
+        lines = [",".join(repr(float(v)) for v in row) for row in signal.samples * 64.0]
+    else:
+        ncols = 1
+        lines = [repr(float(v)) for v in signal.samples]
+    header = [
+        ",".join([repr(float(signal.start_time))] * ncols),
+        ",".join([repr(float(signal.rate))] * ncols),
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join(header + lines) + "\n")

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -74,6 +76,33 @@ class TestSynth:
         labels = load_labels(corpus / "labels.csv")
         session = assemble_session(corpus / "sessions" / "P002", labels)
         assert session.eda.duration >= 60.0
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1-worker", "2-workers"])
+    def test_corpus_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        generate_corpus(tmp_path, SynthParams(participants_per_class=1, session_seconds=60, seed=0))
+        assert multiprocessing.active_children() == []
+        assert corpus_sha256(tmp_path) == SMALL_CORPUS_SHA256
+
+    def test_largest_effect_stays_within_the_eda_range(self, tmp_path):
+        sessions, _ = generate_corpus(tmp_path, SynthParams(
+            participants_per_class=1, session_seconds=60, effect_size=100))
+        assert parse_e4_csv(sessions / "P001" / "EDA.csv", "EDA").samples.max() == 100.0
+
+
+# generate_corpus(SynthParams(participants_per_class=1, session_seconds=60,
+# seed=0)), hashed by corpus_sha256 from the output of the serial writer that
+# the parallel one replaced.
+SMALL_CORPUS_SHA256 = "37c90279f75f57e0f102c9cd0d5ca81983d42af16d08ed8964465b74e357b296"
+
+
+def corpus_sha256(root):
+    """sha256 over every file under root: relative path, then bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\n")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 class TestExtract:
@@ -407,14 +436,22 @@ def _overflowing_acc(corpus, features, tmp):
     return _extract_args(corpus, tmp / "out", sessions)
 
 
-def _huge_eda_sample(corpus, features, tmp):
-    sessions = tmp / "sessions"
-    shutil.copytree(corpus / "sessions", sessions)
-    eda = sessions / "P001" / "EDA.csv"
-    lines = eda.read_text().splitlines()
-    lines[2 + 30 * 4] = "1e300"  # finite, but its fourth power is not
-    eda.write_text("\n".join(lines) + "\n")
-    return _extract_args(corpus, tmp / "out", sessions)
+def _eda_sample(value):
+    def build(corpus, features, tmp):
+        sessions = tmp / "sessions"
+        shutil.copytree(corpus / "sessions", sessions)
+        eda = sessions / "P001" / "EDA.csv"
+        lines = eda.read_text().splitlines()
+        lines[2 + 30 * 4] = value
+        eda.write_text("\n".join(lines) + "\n")
+        return _extract_args(corpus, tmp / "out", sessions)
+    return build
+
+
+def _session_dir_is_a_file(corpus, features, tmp):
+    (tmp / "c" / "sessions").mkdir(parents=True)
+    (tmp / "c" / "sessions" / "P001").write_text("")
+    return _synth_args(tmp)
 
 
 def _label_two(corpus, features, tmp):
@@ -453,6 +490,7 @@ CONTRACT = [
     ("synth-out-is-a-file",
      lambda c, f, t: ["synth", "--out", str(_a_file(t)), "--participants-per-class", "1"],
      "a_file"),
+    ("synth-session-dir-is-a-file", _session_dir_is_a_file, "sessions/P001"),
     ("extract-out-is-a-file", lambda c, f, t: _extract_args(c, _a_file(t)), "a_file"),
     ("extract-window-seconds-nan",
      lambda c, f, t: _extract_args(c, t / "out") + ["--window-seconds", "nan"],
@@ -464,7 +502,10 @@ CONTRACT = [
      lambda c, f, t: _extract_args(c, t / "out") + ["--decomp-alpha", "nan"],
      "alpha, gamma and tol must be > 0"),
     ("extract-overflowing-acc-row", _overflowing_acc, "skipping P001: "),
-    ("extract-eda-sample-1e300", _huge_eda_sample, "skipping P001: "),
+    # finite, but its fourth power is not
+    ("extract-eda-sample-1e300", _eda_sample("1e300"), "skipping P001: "),
+    # finite to the fourth power, but beyond the sensor's 100 uS
+    ("extract-eda-sample-1e60", _eda_sample("1e60"), "skipping P001: "),
     ("evaluate-out-is-a-file", lambda c, f, t: _evaluate_args(f, _a_file(t)), "a_file"),
     ("evaluate-seed-negative", lambda c, f, t: _evaluate_args(f, t / "out", "--seed", "-1"),
      "seed must be >= 0"),
@@ -507,6 +548,7 @@ def test_error_contract(two_session_corpus, tmp_path, capsys, build, reason):
         rc = main(argv)
     except (Exception, SystemExit) as exc:
         pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    assert multiprocessing.active_children() == []
     err = capsys.readouterr().err
     errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
     if reason.startswith("skipping "):

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from physiobias import ingest
 from physiobias.errors import (
     BadParticipantId,
     EmptySignal,
@@ -81,19 +85,57 @@ class TestParseE4Csv:
         with pytest.raises(ParseError):
             parse_e4_csv(f, "EDA")
 
+    def test_non_finite_sample_reports_its_line_after_blank_lines(self, tmp_path):
+        f = tmp_path / "EDA.csv"
+        f.write_text("1.0\n4.0\n0.5\n\n0.6\n\nnan\n0.7\n")
+        with pytest.raises(ParseError, match=r"EDA\.csv:7: non-finite EDA sample"):
+            parse_e4_csv(f, "EDA")
+
+    @pytest.mark.parametrize("channel, body, line", [
+        ("EDA", "0.5\n\n1e60\n", 5),
+        ("EDA", "0.5\n-0.01\n", 4),
+        ("EDA", "100.001\n", 3),
+        ("TEMP", "33.0\n-40.5\n", 4),
+        ("TEMP", "115.5\n", 3),
+        ("ACC", "0,0,64\n0,128.5,0\n", 4),  # counts: 128 counts are 2 g
+        ("ACC", "-129,0,0\n", 3),
+    ])
+    def test_sample_outside_plausible_range_reports_line_and_channel(
+        self, tmp_path, channel, body, line
+    ):
+        f = tmp_path / f"{channel}.csv"
+        header = "1.0,1.0,1.0\n32.0,32.0,32.0\n" if channel == "ACC" else "1.0\n4.0\n"
+        f.write_text(header + body)
+        with pytest.raises(ParseError, match=rf"{channel}\.csv:{line}: {channel} sample "
+                                             r".* is outside the plausible range"):
+            parse_e4_csv(f, channel)
+
+    @pytest.mark.parametrize("channel, body", [
+        ("EDA", "0\n0.0\n100\n"),  # 0 uS: lost skin contact
+        ("TEMP", "-40\n115\n"),
+        ("ACC", "128,-128,0\n"),
+        ("BVP", "-1e60\n1e60\n"),
+        ("HR", "0\n500\n"),
+    ])
+    def test_samples_within_range_parse(self, tmp_path, channel, body):
+        f = tmp_path / f"{channel}.csv"
+        header = "1.0,1.0,1.0\n32.0,32.0,32.0\n" if channel == "ACC" else "1.0\n4.0\n"
+        f.write_text(header + body)
+        assert parse_e4_csv(f, channel).samples.shape[0] == body.count("\n")
+
     @settings(max_examples=50, deadline=None)
     @given(
         start=st.integers(1_500_000_000, 1_700_000_000),
         rate=st.sampled_from([1.0, 4.0, 32.0, 64.0]),
         values=st.lists(
-            st.floats(-100, 100, allow_nan=False, width=32), min_size=1, max_size=40
+            st.floats(-100, 100, allow_nan=False, width=64), min_size=1, max_size=40
         ),
     )
     def test_round_trip(self, tmp_path_factory, start, rate, values):
-        path = tmp_path_factory.mktemp("rt") / "EDA.csv"
+        path = tmp_path_factory.mktemp("rt") / "BVP.csv"
         sig = Signal(float(start), rate, np.asarray(values, dtype=float))
         write_e4_csv(sig, path)
-        back = parse_e4_csv(path, "EDA")
+        back = parse_e4_csv(path, "BVP")
         assert back.start_time == sig.start_time
         assert back.rate == sig.rate
         assert np.array_equal(back.samples, sig.samples)
@@ -105,6 +147,54 @@ class TestParseE4Csv:
         write_e4_csv(acc, path)
         back = parse_e4_csv(path, "ACC")
         assert np.array_equal(back.samples, acc.samples)
+
+
+# Every float64: NaN, infinities, -0.0, subnormals and 1e+-300 included.
+FLOAT64 = st.floats(width=64) | st.sampled_from(
+    [-0.0, 5e-324, -2.225e-308, 1e-300, -1e300, 1.7976931348623157e308])
+
+
+def _unchecked(cls, start, rate, samples):
+    """A signal holding any float64 samples: the writer formats what Signal
+    would reject (NaN, 1e300) too, so they are set after construction."""
+    sig = cls(0.0, 1.0, np.zeros((1, 3)) if cls is TriaxialSignal else [0.0])
+    sig.start_time, sig.rate, sig.samples = start, rate, np.asarray(samples, dtype=float)
+    return sig
+
+
+class TestWriteE4Csv:
+    """write_e4_csv writes the bytes of the one-string reference writer."""
+
+    @staticmethod
+    def assert_same_bytes(tmp, sig):
+        # ACC counts: the float max times 64 overflows, a signaling NaN is invalid.
+        with np.errstate(over="ignore", invalid="ignore"):
+            write_e4_csv(sig, tmp / "new.csv")
+            oracles.o_write_e4_csv(sig, tmp / "ref.csv")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=FLOAT64, rate=FLOAT64, block=st.integers(1, 7),
+           values=st.lists(FLOAT64, min_size=1, max_size=40))
+    def test_single_column(self, tmp_path_factory, start, rate, block, values):
+        with mock.patch.object(ingest, "WRITE_BLOCK_ROWS", block):
+            self.assert_same_bytes(tmp_path_factory.mktemp("w"),
+                                   _unchecked(Signal, start, rate, values))
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=FLOAT64, rate=FLOAT64, block=st.integers(1, 7),
+           rows=st.lists(st.tuples(FLOAT64, FLOAT64, FLOAT64), min_size=1, max_size=20))
+    def test_acc_rows(self, tmp_path_factory, start, rate, block, rows):
+        with mock.patch.object(ingest, "WRITE_BLOCK_ROWS", block):
+            self.assert_same_bytes(tmp_path_factory.mktemp("w"),
+                                   _unchecked(TriaxialSignal, start, rate, rows))
+
+    @pytest.mark.parametrize("cls, ncols", [(Signal, 1), (TriaxialSignal, 3)])
+    def test_random_bits_over_several_blocks(self, tmp_path, cls, ncols):
+        n = 2 * ingest.WRITE_BLOCK_ROWS + 5
+        bits = np.random.default_rng(0).bytes(8 * n * ncols)
+        samples = np.frombuffer(bits, dtype=np.float64).reshape((n, ncols) if ncols > 1 else n)
+        self.assert_same_bytes(tmp_path, _unchecked(cls, 1.6e9, 64.0, samples))
 
 
 class TestIatMapping:
