@@ -34,6 +34,7 @@ from .evaluation import EvalReport, evaluate
 from .features import build_feature_matrix, extract_session_features
 from .gbt import GbtParams
 from .ingest import MIN_SESSION_SECONDS, assemble_session, load_labels
+from .signals import DEFAULT_WINDOW_SECONDS
 from .smoothing import final_label, smooth_with_trace
 from .synth import SynthParams, generate_corpus
 
@@ -48,19 +49,22 @@ def _meta(command: str, config: dict) -> dict:
 
 
 def _add_decomp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--knot-spacing", type=float, default=10.0, help="tonic spline knot spacing, s")
-    p.add_argument("--decomp-alpha", type=float, default=8e-4, help="l1 weight on the EDA driver")
-    p.add_argument("--decomp-gamma", type=float, default=1e-2, help="l2 weight on spline coefficients")
-    p.add_argument("--decomp-tol", type=float, default=1e-6)
-    p.add_argument("--decomp-max-iter", type=int, default=5000)
+    p.add_argument("--knot-spacing", type=float, default=DecompParams.knot_spacing,
+                   help="tonic spline knot spacing, s")
+    p.add_argument("--decomp-alpha", type=float, default=DecompParams.alpha,
+                   help="l1 weight on the EDA driver")
+    p.add_argument("--decomp-gamma", type=float, default=DecompParams.gamma,
+                   help="l2 weight on spline coefficients")
+    p.add_argument("--decomp-tol", type=float, default=DecompParams.tol)
+    p.add_argument("--decomp-max-iter", type=int, default=DecompParams.max_iter)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--reg-lambda", type=float, default=1.0)
-    p.add_argument("--min-child-weight", type=float, default=1.0)
+    p.add_argument("--depth", type=int, default=GbtParams.depth)
+    p.add_argument("--rounds", type=int, default=GbtParams.rounds)
+    p.add_argument("--learning-rate", type=float, default=GbtParams.learning_rate)
+    p.add_argument("--reg-lambda", type=float, default=GbtParams.reg_lambda)
+    p.add_argument("--min-child-weight", type=float, default=GbtParams.min_child_weight)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,17 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate synthetic E4 sessions + labels")
     p_synth.add_argument("--out", required=True, type=Path)
-    p_synth.add_argument("--participants-per-class", type=int, default=20)
-    p_synth.add_argument("--session-seconds", type=float, default=300.0)
-    p_synth.add_argument("--effect-size", type=float, default=3.0)
-    p_synth.add_argument("--effect-location", choices=["uniform", "end"], default="uniform")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--participants-per-class", type=int,
+                         default=SynthParams.participants_per_class)
+    p_synth.add_argument("--session-seconds", type=float, default=SynthParams.session_seconds)
+    p_synth.add_argument("--effect-size", type=float, default=SynthParams.effect_size)
+    p_synth.add_argument("--effect-location", choices=["uniform", "end"],
+                         default=SynthParams.effect_location)
+    p_synth.add_argument("--seed", type=int, default=SynthParams.seed)
 
     p_ext = sub.add_parser("extract", help="sessions -> features.csv")
     p_ext.add_argument("--data-dir", required=True, type=Path)
     p_ext.add_argument("--labels", required=True, type=Path)
     p_ext.add_argument("--out", required=True, type=Path, help="output directory")
-    p_ext.add_argument("--window-seconds", type=float, default=5.0)
+    p_ext.add_argument("--window-seconds", type=float, default=DEFAULT_WINDOW_SECONDS)
     p_ext.add_argument("--min-duration", type=float, default=MIN_SESSION_SECONDS)
     p_ext.add_argument("--debug-eda", action="store_true", help="dump per-session decompositions")
     _add_decomp_flags(p_ext)

@@ -17,7 +17,7 @@ and recovered by solving the convex program
 
 The solver is an accelerated proximal-gradient iteration with a descent
 safeguard, so the recorded objective is non-increasing. The driver is
-discretized at the EDA rate and the kernel truncated at `kernel_seconds`
+discretized at the EDA rate and the kernel truncated at KERNEL_SECONDS
 of support.
 
 Cost: B is kept as a sparse matrix (at most four nonzeros per row), so
@@ -45,31 +45,32 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 
+# The Bateman kernel of the phasic response, fixed at cvxEDA's defaults
+# (Greco et al., IEEE TBME 2016): slow decay and fast rise time constants,
+# and the support the kernel is truncated to, all in seconds.
+TAU0 = 2.0
+TAU1 = 0.7
+KERNEL_SECONDS = 40.0
+
+
 @dataclass
 class DecompParams:
     """Decomposition parameters. Defaults follow common practice for
-    skin-conductance deconvolution; all are adjustable."""
+    skin-conductance deconvolution."""
 
-    tau0: float = 2.0           # slow decay time constant, s
-    tau1: float = 0.7           # fast rise time constant, s
     knot_spacing: float = 10.0  # tonic spline knot spacing, s
     alpha: float = 8e-4         # l1 weight on the driver
     gamma: float = 1e-2         # l2 weight on the spline coefficients
     tol: float = 1e-6           # relative objective change to stop
     max_iter: int = 5000
-    kernel_seconds: float = 40.0
 
     def __post_init__(self) -> None:
-        if not (self.tau0 > self.tau1 > 0):
-            raise ParamError(f"need tau0 > tau1 > 0, got tau0={self.tau0}, tau1={self.tau1}")
         if not 0 < self.knot_spacing < np.inf:
             raise ParamError("knot_spacing must be > 0 and finite")
         if not (self.alpha > 0 and self.gamma > 0 and self.tol > 0):
             raise ParamError("alpha, gamma and tol must be > 0")
         if self.max_iter < 1:
             raise ParamError("max_iter must be >= 1")
-        if not 0 < self.kernel_seconds < np.inf:
-            raise ParamError("kernel_seconds must be > 0 and finite")
 
 
 @dataclass
@@ -164,8 +165,7 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
             f"(4 knot spacings at {rate:g} Hz)"
         )
 
-    klen = min(n, int(round(params.kernel_seconds * rate)))
-    h = bateman_kernel(params.tau0, params.tau1, rate, klen)
+    h = bateman_kernel(TAU0, TAU1, rate, min(n, int(round(KERNEL_SECONDS * rate))))
     B = _spline_basis(n, rate, params.knot_spacing)
     Bt = B.T.tocsr()
     t = np.arange(n) / rate

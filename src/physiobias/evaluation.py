@@ -13,6 +13,7 @@ are participant-level; window-level metrics are kept as diagnostics.
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -277,7 +278,8 @@ def evaluate(
     n_jobs: int = 1,
 ) -> EvalReport:
     """Full LOPO evaluation: per-fold oversample/train/predict/smooth, then
-    participant-level metrics against the majority-class baseline.
+    participant-level metrics against the majority-class baseline. n_jobs > 1
+    runs the folds in spawned workers, as synth.generate_corpus does.
 
     Raises:
         ParamError: top_n below 1, a negative seed, n_jobs below 1 or a
@@ -308,7 +310,10 @@ def evaluate(
     ]
     shared = (data, presort(data.X), model_params)
     if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_share, initargs=shared) as pool:
+        # spawn, not fork: numpy's BLAS has started threads in this process.
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(n_jobs, mp_context=context, initializer=_share,
+                                 initargs=shared) as pool:
             results = list(pool.map(_run_shared_fold, jobs))
     else:
         results = [_run_fold(*shared, job) for job in jobs]

@@ -6,8 +6,7 @@ waveform features; the three EDA signals add auc and max_peak; bvp adds the
 nine beat-derived features. That yields the fixed 102-column vocabulary.
 
 Each feature group is one function from a signal's (n_windows, samples per
-window) matrix to its feature columns, reducing along axis 1; the per-slice
-functions (`stat_features`, ...) are their one-row case. Only beat
+window) matrix to its feature columns, reducing along axis 1. Only beat
 detection runs window by window, because its refractory rule is sequential.
 
 Conventions (pinned so the brute-force oracle can match exactly):
@@ -29,7 +28,7 @@ from .dataset import Dataset
 from .eda import DecompParams, EdaComponents, decompose
 from .errors import InsufficientData
 from .ingest import RawSession
-from .signals import magnitude, window_matrices
+from .signals import DEFAULT_WINDOW_SECONDS, magnitude, window_matrices
 
 STAT_FEATURES = (
     "max", "min", "median", "mean", "std", "var",
@@ -77,12 +76,6 @@ def _peak_mask(x: np.ndarray) -> np.ndarray:
     greater than both neighbors."""
     mid = x[..., 1:-1]
     return (mid > x[..., :-2]) & (mid > x[..., 2:])
-
-
-def _one_row(columns, names: tuple[str, ...], x: np.ndarray, rate: float) -> dict[str, float]:
-    """A feature group's columns for a single slice, by name."""
-    row = columns(np.asarray(x, dtype=float)[None, :], rate)[0]
-    return dict(zip(names, row.tolist()))
 
 
 def stat_columns(X: np.ndarray, rate: float) -> np.ndarray:
@@ -143,23 +136,6 @@ def eda_extra_columns(X: np.ndarray, rate: float) -> np.ndarray:
     max_peak = np.where(peaks, X[:, 1:-1], -np.inf).max(axis=1, initial=-np.inf)
     max_peak[~peaks.any(axis=1)] = np.nan
     return np.column_stack([np.trapezoid(X, dx=1.0 / rate, axis=1), max_peak])
-
-
-def stat_features(x: np.ndarray, rate: float) -> dict[str, float]:
-    """The nine statistical features of one slice."""
-    return _one_row(stat_columns, STAT_FEATURES, x, rate)
-
-
-def extra_features(x: np.ndarray, rate: float) -> dict[str, float]:
-    """Waveform features of one slice; skewness/kurtosis are NaN on zero
-    variance."""
-    return _one_row(extra_columns, EXTRA_FEATURES, x, rate)
-
-
-def eda_extra_features(x: np.ndarray, rate: float) -> dict[str, float]:
-    """Trapezoid area (sample spacing 1/rate) and the largest strict peak of
-    one slice."""
-    return _one_row(eda_extra_columns, EDA_FEATURES, x, rate)
 
 
 def detect_beats(bvp: np.ndarray, rate: float) -> RRSeries:
@@ -262,17 +238,13 @@ def _feature_groups(sig: str) -> list[tuple[tuple[str, ...], Callable]]:
     return groups
 
 
-def feature_columns() -> list[str]:
-    """The fixed, ordered feature vocabulary (102 names)."""
-    return [
-        f"{sig}_{name}"
-        for sig in FEATURE_SIGNALS
-        for names, _ in _feature_groups(sig)
-        for name in names
-    ]
-
-
-FEATURE_COLUMNS = feature_columns()
+# The fixed, ordered feature vocabulary (102 names).
+FEATURE_COLUMNS = [
+    f"{sig}_{name}"
+    for sig in FEATURE_SIGNALS
+    for names, _ in _feature_groups(sig)
+    for name in names
+]
 
 
 def window_feature_matrix(
@@ -296,7 +268,7 @@ def window_feature_matrix(
 def extract_session_features(
     session: RawSession,
     decomp_params: DecompParams | None = None,
-    window_seconds: float = 5.0,
+    window_seconds: float = DEFAULT_WINDOW_SECONDS,
 ) -> tuple[np.ndarray, EdaComponents]:
     """Decompose the session's EDA, window all seven signals, and compute
     the session's (n_windows, 102) feature matrix.

@@ -2,6 +2,27 @@ import numpy as np
 import pytest
 
 from physiobias.dataset import Dataset
+from physiobias.features import (
+    EDA_FEATURES,
+    EXTRA_FEATURES,
+    STAT_FEATURES,
+    eda_extra_columns,
+    extra_columns,
+    stat_columns,
+)
+
+_GROUP_NAMES = {
+    stat_columns: STAT_FEATURES,
+    extra_columns: EXTRA_FEATURES,
+    eda_extra_columns: EDA_FEATURES,
+}
+
+
+def slice_features(columns, x, rate: float) -> dict[str, float]:
+    """One slice's features by name: a feature group's columns function
+    applied to the slice as a one-row matrix."""
+    row = columns(np.asarray(x, dtype=float)[None, :], rate)[0]
+    return dict(zip(_GROUP_NAMES[columns], row.tolist()))
 
 
 def make_dataset(X, y, pids=None, window_indices=None, columns=None) -> Dataset:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_dataset
+from conftest import make_dataset, slice_features
 from physiobias import evaluation, gbt
 from physiobias.cli import main
 from physiobias.eda import DecompParams, bateman_kernel, decompose
@@ -19,10 +19,10 @@ from physiobias.evaluation import lopo_folds, mann_whitney_u
 from physiobias.features import (
     RRSeries,
     detect_beats,
-    eda_extra_features,
-    extra_features,
+    eda_extra_columns,
+    extra_columns,
     hrv_features,
-    stat_features,
+    stat_columns,
 )
 from physiobias.gbt import GbtParams, predict_proba_matrix, train
 from physiobias.signals import Signal
@@ -60,9 +60,10 @@ def test_criterion_1_feature_oracles():
             x = np.round(x, 1)  # exercise ties and flat stretches
         rate = float(rng.choice([1.0, 4.0, 32.0, 64.0]))
         pairs = [
-            (stat_features(x, rate), oracles.o_stat_features(list(x), rate)),
-            (extra_features(x, rate), oracles.o_extra_features(list(x), rate)),
-            (eda_extra_features(x, rate), oracles.o_eda_extra_features(list(x), rate)),
+            (slice_features(stat_columns, x, rate), oracles.o_stat_features(list(x), rate)),
+            (slice_features(extra_columns, x, rate), oracles.o_extra_features(list(x), rate)),
+            (slice_features(eda_extra_columns, x, rate),
+             oracles.o_eda_extra_features(list(x), rate)),
         ]
         for got, want in pairs:
             for name, value in got.items():

@@ -17,17 +17,33 @@ from physiobias.ingest import assemble_session, load_labels, parse_e4_csv
 from physiobias.synth import RATES, SynthParams, generate_corpus
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # Only the EDA solve needs scipy; evaluate, smooth and synth must not
-    # pay for importing it.
-    code = ("import sys, physiobias.cli; "
-            "sys.exit(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)")
+def loaded_after_import(module: str, packages: tuple[str, ...]) -> list[str]:
+    """The modules of `packages` that importing `module` leaves in
+    sys.modules of a fresh interpreter."""
+    code = (f"import sys, {module}; "
+            f"print(' '.join(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     src = str(Path(physiobias.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Only the EDA solve needs scipy; evaluate, smooth and synth must not
+    # pay for importing it.
+    assert loaded_after_import("physiobias.cli", ("scipy",)) == []
+
+
+def test_synth_import_loads_only_its_dependencies():
+    # The package root re-exports nothing, so the generator (and each
+    # spawned synth worker) loads neither the model, the features nor scipy.
+    loaded = loaded_after_import("physiobias.synth", ("physiobias", "scipy"))
+    unwanted = {"physiobias.gbt", "physiobias.evaluation", "physiobias.features",
+                "physiobias.dataset", "physiobias.cli", "scipy"}
+    assert unwanted.isdisjoint(loaded), loaded
 
 
 @pytest.fixture(scope="module")

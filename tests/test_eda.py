@@ -65,8 +65,6 @@ class TestBatemanKernel:
 class TestDecompParams:
     def test_validation(self):
         with pytest.raises(ParamError):
-            DecompParams(tau0=0.5, tau1=0.7)
-        with pytest.raises(ParamError):
             DecompParams(alpha=0.0)
         with pytest.raises(ParamError):
             DecompParams(knot_spacing=-1.0)

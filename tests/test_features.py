@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import slice_features
 from physiobias.eda import decompose
 from physiobias.errors import InsufficientData
 from physiobias.features import (
@@ -16,12 +17,11 @@ from physiobias.features import (
     RRSeries,
     build_feature_matrix,
     detect_beats,
-    eda_extra_features,
+    eda_extra_columns,
     extract_session_features,
     extra_columns,
-    extra_features,
     hrv_features,
-    stat_features,
+    stat_columns,
     window_feature_matrix,
 )
 from physiobias.ingest import assemble_session, load_labels
@@ -31,32 +31,32 @@ from physiobias.synth import SynthParams, generate_corpus
 
 class TestStatFeatures:
     def test_hand_example(self):
-        out = stat_features(np.array([1.0, 2.0, 3.0]), 4.0)
+        out = slice_features(stat_columns, np.array([1.0, 2.0, 3.0]), 4.0)
         assert out["mean"] == 2.0
         assert out["median"] == 2.0
         assert out["var"] == pytest.approx(2.0 / 3.0)
         assert out["mean_abs_dev"] == pytest.approx(2.0 / 3.0)
 
     def test_constant_slice(self):
-        out = stat_features(np.array([5.0, 5.0, 5.0, 5.0]), 4.0)
+        out = slice_features(stat_columns, np.array([5.0, 5.0, 5.0, 5.0]), 4.0)
         assert out["std"] == 0.0
         assert out["var"] == 0.0
         assert out["interq_range"] == 0.0
         assert out["distance"] == 3.0  # flat signal traverses 1 per step
 
     def test_distance_unit_spacing(self):
-        out = stat_features(np.array([0.0, 1.0]), 4.0)
+        out = slice_features(stat_columns, np.array([0.0, 1.0]), 4.0)
         assert out["distance"] == pytest.approx(math.sqrt(2.0))
 
     def test_too_short(self):
         with pytest.raises(InsufficientData):
-            stat_features(np.array([1.0]), 4.0)
+            slice_features(stat_columns, np.array([1.0]), 4.0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=40)
-        a = stat_features(x, 4.0)
-        b = stat_features(x + 17.5, 4.0)
+        a = slice_features(stat_columns, x, 4.0)
+        b = slice_features(stat_columns, x + 17.5, 4.0)
         for name in ("std", "var", "interq_range", "mean_abs_dev", "distance"):
             assert b[name] == pytest.approx(a[name], abs=1e-9)
         for name in ("max", "min", "median", "mean"):
@@ -66,8 +66,8 @@ class TestStatFeatures:
         rng = np.random.default_rng(4)
         x = rng.normal(size=40)
         c = 3.5
-        a = stat_features(x, 4.0)
-        b = stat_features(c * x, 4.0)
+        a = slice_features(stat_columns, x, 4.0)
+        b = slice_features(stat_columns, c * x, 4.0)
         assert b["mean"] == pytest.approx(c * a["mean"], rel=1e-12)
         assert b["std"] == pytest.approx(c * a["std"], rel=1e-12)
         assert b["var"] == pytest.approx(c * c * a["var"], rel=1e-12)
@@ -75,53 +75,53 @@ class TestStatFeatures:
 
 class TestExtraFeatures:
     def test_rms(self):
-        out = extra_features(np.array([3.0, 4.0, 3.0, 4.0]), 4.0)
+        out = slice_features(extra_columns, np.array([3.0, 4.0, 3.0, 4.0]), 4.0)
         assert out["rms"] == pytest.approx(math.sqrt(12.5))
 
     def test_alternating_signs(self):
-        out = extra_features(np.array([1.0, -1.0, 1.0, -1.0]), 4.0)
+        out = slice_features(extra_columns, np.array([1.0, -1.0, 1.0, -1.0]), 4.0)
         assert out["zero_cross"] == 3
         assert out["kurtosis"] == pytest.approx(-2.0)
 
     def test_num_peaks(self):
-        out = extra_features(np.array([0.0, 1.0, 0.0, 2.0, 0.0]), 4.0)
+        out = slice_features(extra_columns, np.array([0.0, 1.0, 0.0, 2.0, 0.0]), 4.0)
         assert out["num_peaks"] == 2
 
     def test_zero_variance_moments_missing(self):
-        out = extra_features(np.full(8, 3.3), 4.0)
+        out = slice_features(extra_columns, np.full(8, 3.3), 4.0)
         assert np.isnan(out["kurtosis"]) and np.isnan(out["skewness"])
         assert out["rms"] == pytest.approx(3.3)
 
     def test_power_spec_excludes_dc(self):
         # A pure offset has all its energy in the DC bin.
-        out = extra_features(np.full(8, 2.0) + np.array([0, 1e-9] * 4), 4.0)
+        out = slice_features(extra_columns, np.full(8, 2.0) + np.array([0, 1e-9] * 4), 4.0)
         assert out["power_spec"] < 1e-12
 
     def test_skew_kurt_scale_invariant(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=50)
-        a = extra_features(x, 4.0)
-        b = extra_features(4.2 * x, 4.0)
+        a = slice_features(extra_columns, x, 4.0)
+        b = slice_features(extra_columns, 4.2 * x, 4.0)
         assert b["skewness"] == pytest.approx(a["skewness"], abs=1e-9)
         assert b["kurtosis"] == pytest.approx(a["kurtosis"], abs=1e-9)
 
     def test_too_short(self):
         with pytest.raises(InsufficientData):
-            extra_features(np.array([1.0, 2.0, 3.0]), 4.0)
+            slice_features(extra_columns, np.array([1.0, 2.0, 3.0]), 4.0)
 
 
 class TestEdaExtraFeatures:
     def test_auc_triangle(self):
-        out = eda_extra_features(np.array([0.0, 1.0, 0.0]), 4.0)
+        out = slice_features(eda_extra_columns, np.array([0.0, 1.0, 0.0]), 4.0)
         assert out["auc"] == pytest.approx(0.25)
 
     def test_auc_and_max_peak(self):
-        out = eda_extra_features(np.array([0.0, 2.0, 0.0, 3.0, 0.0]), 1.0)
+        out = slice_features(eda_extra_columns, np.array([0.0, 2.0, 0.0, 3.0, 0.0]), 1.0)
         assert out["auc"] == pytest.approx(5.0)
         assert out["max_peak"] == 3.0
 
     def test_constant_has_no_peak(self):
-        out = eda_extra_features(np.full(6, 1.0), 4.0)
+        out = slice_features(eda_extra_columns, np.full(6, 1.0), 4.0)
         assert np.isnan(out["max_peak"])
 
 
@@ -226,12 +226,12 @@ class TestOracleEquivalence:
             n = int(rng.integers(20, 321))
             x = rng.normal(0, rng.uniform(0.5, 2.0), n) + rng.uniform(-1, 1)
             rate = float(rng.choice([1.0, 4.0, 32.0, 64.0]))
-            for impl, oracle in (
-                (stat_features, oracles.o_stat_features),
-                (extra_features, oracles.o_extra_features),
-                (eda_extra_features, oracles.o_eda_extra_features),
+            for columns, oracle in (
+                (stat_columns, oracles.o_stat_features),
+                (extra_columns, oracles.o_extra_features),
+                (eda_extra_columns, oracles.o_eda_extra_features),
             ):
-                got = impl(x, rate)
+                got = slice_features(columns, x, rate)
                 want = oracle(list(x), rate)
                 for name, value in got.items():
                     if np.isnan(value) and np.isnan(want[name]):
@@ -348,15 +348,16 @@ def synth_sessions(tmp_path_factory):
 
 
 def per_slice_row(slices: dict[str, np.ndarray]) -> list[float]:
-    """One window's 102 features from the per-slice functions, by name."""
+    """One window's 102 features, each group computed on its slice alone,
+    by name."""
     values = {}
     for sig in FEATURE_SIGNALS:
         x, rate = slices[sig], RATES[sig]
-        groups = [stat_features(x, rate)]
+        groups = [slice_features(stat_columns, x, rate)]
         if sig in EXTRA_SIGNALS:
-            groups.append(extra_features(x, rate))
+            groups.append(slice_features(extra_columns, x, rate))
         if sig in AUC_SIGNALS:
-            groups.append(eda_extra_features(x, rate))
+            groups.append(slice_features(eda_extra_columns, x, rate))
         if sig == "bvp":
             groups.append(hrv_features(detect_beats(x, rate)))
         for group in groups:
