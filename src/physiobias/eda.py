@@ -17,8 +17,8 @@ and recovered by solving the convex program
 
 The solver is an accelerated proximal-gradient iteration with a descent
 safeguard, so the recorded objective is non-increasing. The driver is
-discretized at the EDA rate and the kernel truncated at KERNEL_SECONDS
-of support.
+discretized at the EDA rate and the kernel is `phasic_kernel`, truncated
+at 40 s of support.
 
 Cost: B is kept as a sparse matrix (at most four nonzeros per row), so
 memory is linear in the session length n. Each point carries its residual
@@ -45,12 +45,9 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 
-# The Bateman kernel of the phasic response, fixed at cvxEDA's defaults
-# (Greco et al., IEEE TBME 2016): slow decay and fast rise time constants,
-# and the support the kernel is truncated to, all in seconds.
-TAU0 = 2.0
-TAU1 = 0.7
-KERNEL_SECONDS = 40.0
+# The phasic kernel at cvxEDA's defaults (Greco et al., IEEE TBME 2016): slow
+# decay and fast rise time constants, and the support it is cut to, in seconds.
+_TAU0, _TAU1, _KERNEL_SECONDS = 2.0, 0.7, 40.0
 
 
 @dataclass
@@ -100,6 +97,11 @@ def bateman_kernel(tau0: float, tau1: float, rate: float, length: int) -> np.nda
     if peak > 0:
         h = h / peak
     return h
+
+
+def phasic_kernel(rate: float, n: int) -> np.ndarray:
+    """The Bateman kernel at _TAU0, _TAU1 and rate Hz, cut to its support or to n samples."""
+    return bateman_kernel(_TAU0, _TAU1, rate, min(n, int(round(_KERNEL_SECONDS * rate))))
 
 
 def _spline_basis(n: int, rate: float, knot_spacing: float) -> csr_array:
@@ -165,7 +167,7 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
             f"(4 knot spacings at {rate:g} Hz)"
         )
 
-    h = bateman_kernel(TAU0, TAU1, rate, min(n, int(round(KERNEL_SECONDS * rate))))
+    h = phasic_kernel(rate, n)
     B = _spline_basis(n, rate, params.knot_spacing)
     Bt = B.T.tocsr()
     t = np.arange(n) / rate

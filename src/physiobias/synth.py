@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eda import KERNEL_SECONDS, TAU0, TAU1, bateman_kernel
+from .eda import phasic_kernel
 from .errors import ParamError
 from .ingest import ACC_COUNTS_PER_G, PLAUSIBLE_RANGES, write_e4_csv
 from .signals import Signal, TriaxialSignal
@@ -129,8 +129,7 @@ def _gen_eda(rng: np.random.Generator, p: SynthParams, biased: bool, n: int) -> 
         else:
             driver += _pulse_train(rng, n, rate, extra_rate, boost_amp, SCR_AMP_SD, (0.0, 1.0))
 
-    kernel = bateman_kernel(TAU0, TAU1, rate, min(n, int(round(KERNEL_SECONDS * rate))))
-    phasic = np.convolve(driver, kernel)[:n]
+    phasic = np.convolve(driver, phasic_kernel(rate, n))[:n]
     noise = rng.normal(0.0, 0.005, size=n)
     # The E4 sensor saturates at its range; extract rejects samples above it.
     return np.clip(tonic + phasic + noise, 0.01, PLAUSIBLE_RANGES["EDA"][1])

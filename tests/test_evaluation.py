@@ -1,9 +1,13 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
 import oracles
 from conftest import make_dataset
+from physiobias import evaluation
 from physiobias.errors import DegenerateLabels, InsufficientData, ParamError
 from physiobias.evaluation import (
     aggregate_importance,
@@ -14,6 +18,24 @@ from physiobias.evaluation import (
     oversample_weights,
 )
 from physiobias.gbt import GbtParams
+
+# Directory where each fold worker started by guard_argsort_then_share leaves
+# a file named after its pid.
+WORKER_MARKS = "PHYSIOBIAS_TEST_WORKER_MARKS"
+
+
+def guard_argsort_then_share(*shared):
+    """Fold-pool initializer: fail any argsort of a 2-D array in this worker,
+    mark that the guard is in place, then share the fold inputs."""
+    argsort = np.argsort
+
+    def guarded_argsort(a, *args, **kwargs):
+        assert np.ndim(a) != 2, "feature matrix sorted again in a fold worker"
+        return argsort(a, *args, **kwargs)
+
+    np.argsort = guarded_argsort
+    (Path(os.environ[WORKER_MARKS]) / str(os.getpid())).touch()
+    evaluation._share(*shared)
 
 
 def participant_dataset(
@@ -246,10 +268,11 @@ class TestEvaluate:
             assert len(fold.predicted) == 4
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_feature_matrix_sorted_once(self, monkeypatch, n_jobs):
+    def test_feature_matrix_sorted_once(self, monkeypatch, tmp_path, n_jobs):
         # Every fold and node filters one presort of the whole matrix. A
-        # second argsort of a 2-D array fails the run, in a worker too:
-        # workers fork after the presort and inherit the counter.
+        # second argsort of a 2-D array fails the run. Spawned workers import
+        # numpy afresh and do not see this patch, so with n_jobs=2 the pool
+        # initializer installs its own guard in each worker and leaves a mark.
         data = participant_dataset(n_biased=4, n_unbiased=3, windows=6, seed=12, shift=1.0)
         data.X[::5, 1] = np.nan
         calls = []
@@ -262,10 +285,13 @@ class TestEvaluate:
             return argsort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(evaluation, "_share", guard_argsort_then_share)
+        monkeypatch.setenv(WORKER_MARKS, str(tmp_path))
         report = evaluate(data, GbtParams(depth=3, rounds=4, learning_rate=0.3),
                           seed=6, n_jobs=n_jobs)
         assert calls == [(data.X.shape[1], data.n_rows)]
         assert report.n_participants == 7
+        assert (len(list(tmp_path.iterdir())) > 0) == (n_jobs > 1)
 
     def test_top_n_below_one_rejected(self):
         data = participant_dataset()
