@@ -29,14 +29,14 @@ import numpy as np
 from . import __version__
 from .dataset import Dataset, from_csv
 from .eda import DecompParams, dump_components_csv
-from .errors import NoSessions, ParseError, PhysioBiasError
-from .evaluation import EvalReport, evaluate
+from .errors import NoSessions, ParamError, ParseError, PhysioBiasError
+from .evaluation import DEFAULT_SEED, DEFAULT_TOP_N, EvalReport, evaluate
 from .features import build_feature_matrix, extract_session_features
 from .gbt import GbtParams
 from .ingest import MIN_SESSION_SECONDS, assemble_session, load_labels
 from .signals import DEFAULT_WINDOW_SECONDS
 from .smoothing import final_label, smooth_with_trace
-from .synth import SynthParams, generate_corpus
+from .synth import EFFECT_LOCATIONS, SynthParams, generate_corpus
 
 
 def _meta(command: str, config: dict) -> dict:
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=SynthParams.participants_per_class)
     p_synth.add_argument("--session-seconds", type=float, default=SynthParams.session_seconds)
     p_synth.add_argument("--effect-size", type=float, default=SynthParams.effect_size)
-    p_synth.add_argument("--effect-location", choices=["uniform", "end"],
+    p_synth.add_argument("--effect-location", choices=EFFECT_LOCATIONS,
                          default=SynthParams.effect_location)
     p_synth.add_argument("--seed", type=int, default=SynthParams.seed)
 
@@ -97,10 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="features.csv -> report.json + tables")
     p_eval.add_argument("--features", required=True, type=Path)
     p_eval.add_argument("--out", required=True, type=Path, help="output directory")
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--top-n", type=int, default=20)
+    p_eval.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_eval.add_argument("--top-n", type=int, default=DEFAULT_TOP_N)
     p_eval.add_argument("--importance-threshold", type=float, default=None)
-    p_eval.add_argument("--folds-parallel", type=int, default=1)
+    p_eval.add_argument("--folds-parallel", type=int, default=1,
+                        help="must be 1: the folds run in one process")
     _add_model_flags(p_eval)
 
     p_smooth = sub.add_parser("smooth", help="smooth one 0/1 sequence, print the trace")
@@ -221,6 +222,9 @@ def _report_to_dict(report: EvalReport, meta: dict) -> dict:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.folds_parallel != 1:
+        raise ParamError(f"--folds-parallel must be 1 (folds run in one process), "
+                         f"got {args.folds_parallel}")
     data = from_csv(args.features)
     params = GbtParams(
         depth=args.depth,
@@ -236,7 +240,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         seed=args.seed,
         top_n=args.top_n,
         importance_threshold=args.importance_threshold,
-        n_jobs=args.folds_parallel,
     )
     config = {
         "features": str(args.features),

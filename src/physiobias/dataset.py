@@ -77,7 +77,9 @@ def from_csv(path: str | Path) -> Dataset:
     """Read a feature matrix written by Dataset.to_csv.
 
     Raises:
-        ParseError: an unreadable or undecodable file, or a malformed one.
+        ParseError: an unreadable or undecodable file, or a malformed one:
+            among others, a header with no feature column or with an empty
+            or repeated column name, or a repeated (participant, window).
         LabelError: a label other than 0 or 1, or a participant whose
             windows carry both labels.
     """
@@ -93,8 +95,14 @@ def from_csv(path: str | Path) -> Dataset:
     if header[:3] != ["participant_id", "window_index", "label"]:
         raise ParseError(f"{path}: unexpected header {header[:3]}")
     columns = header[3:]
+    if not columns:
+        raise ParseError(f"{path}: no feature column in the header")
+    for i, name in enumerate(header):
+        if not name or name in header[:i]:
+            raise ParseError(f"{path}: empty or repeated column name {name!r} in the header")
     pids, widx, labels, rows = [], [], [], []
     label_of: dict[str, int] = {}
+    windows: set[tuple[str, int]] = set()
     try:
         for ln in lines[1:]:
             cells = ln.split(",")
@@ -104,8 +112,13 @@ def from_csv(path: str | Path) -> Dataset:
             if label_of.setdefault(cells[0], label) != label:
                 raise LabelError(f"{path}: participant {cells[0]!r} has windows labelled "
                                  f"{label_of[cells[0]]} and {label}")
+            window = (cells[0], int(cells[1]))
+            if window in windows:
+                raise ParseError(f"{path}: data row {len(rows) + 1}: participant {cells[0]!r} "
+                                 f"has window {window[1]} twice")
+            windows.add(window)
             pids.append(cells[0])
-            widx.append(int(cells[1]))
+            widx.append(window[1])
             labels.append(label)
             rows.append([float(c) if c else np.nan for c in cells[3:]])
     except ValueError as exc:

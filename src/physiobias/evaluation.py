@@ -4,17 +4,16 @@ Each fold holds out every window of one participant, balances the training
 rows with integer row weights (each minority-class window weighs one more
 for every time the seeded oversampling draw picks it), fits the boosted-tree
 model, predicts the held-out window sequence, smooths it, and takes the
-longest-run label as the participant verdict. The feature matrix is sorted
-once per evaluation: every fold trains on the whole matrix, with the held-out
-participant at weight 0, and filters that one presort. Every class needs
-two participants, so that each fold trains on both classes. Reported metrics
-are participant-level; window-level metrics are kept as diagnostics.
+longest-run label as the participant verdict. The folds run one after
+another in one process, and the feature matrix is sorted once per
+evaluation: every fold trains on the whole matrix, with the held-out
+participant at weight 0, and filters that one presort. Every class needs two
+participants, so that each fold trains on both classes. Reported metrics are
+participant-level; window-level metrics are kept as diagnostics.
 """
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,10 @@ from .dataset import Dataset
 from .errors import DegenerateLabels, InsufficientData, ParamError
 from .gbt import GbtParams, SortedColumns, importance, predict_proba_matrix, presort, train
 from .smoothing import final_label, majority_window_location, smooth, location_summary
+
+# Defaults of evaluate, which the CLI's --seed and --top-n also take.
+DEFAULT_SEED = 0
+DEFAULT_TOP_N = 20
 
 
 @dataclass
@@ -144,9 +147,9 @@ def _metrics(truths: np.ndarray, predictions: np.ndarray) -> MetricSet:
 
 
 def _run_fold(
-    data: Dataset, sorted_columns: SortedColumns, params: GbtParams, job: tuple,
+    data: Dataset, sorted_columns: SortedColumns, params: GbtParams,
+    train_rows: np.ndarray, test_rows: np.ndarray, pid: str, fold_seed: int,
 ) -> FoldResult:
-    train_rows, test_rows, pid, fold_seed = job
     weights = np.zeros(data.n_rows, dtype=np.int64)
     weights[train_rows] = oversample_weights(data.y[train_rows], fold_seed)
     model = train(data, params, weights, sorted_columns)
@@ -171,27 +174,14 @@ def _run_fold(
     )
 
 
-# What every fold shares, set once per worker process by the pool initializer.
-_shared: tuple = ()
-
-
-def _share(*shared) -> None:
-    global _shared
-    _shared = shared
-
-
-def _run_shared_fold(job: tuple) -> FoldResult:
-    return _run_fold(*_shared, job)
-
-
 def aggregate_importance(
     fold_importances: list[dict[str, float]],
-    top_n: int = 20,
+    top_n: int,
     threshold: float | None = None,
-) -> tuple[dict[str, int], list[str]]:
+) -> tuple[dict[str, int], list[str], float]:
     """Count, per feature, the folds where it ranks in the top_n by gain;
     report the features whose count exceeds the threshold (default: half
-    the folds)."""
+    the folds). Returns (counts, reported features, threshold applied)."""
     if not fold_importances:
         raise ValueError("no folds to aggregate")
     if threshold is None:
@@ -203,7 +193,7 @@ def aggregate_importance(
             counts[name] = counts.get(name, 0) + 1
     counts = dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
     reported = [name for name, c in counts.items() if c > threshold]
-    return counts, reported
+    return counts, reported, threshold
 
 
 def mann_whitney_u(x, y) -> tuple[float, float, bool]:
@@ -272,18 +262,17 @@ def group_difference(data: Dataset) -> list[FeatureGroupStat]:
 def evaluate(
     data: Dataset,
     model_params: GbtParams | None = None,
-    seed: int = 0,
-    top_n: int = 20,
+    seed: int = DEFAULT_SEED,
+    top_n: int = DEFAULT_TOP_N,
     importance_threshold: float | None = None,
-    n_jobs: int = 1,
 ) -> EvalReport:
-    """Full LOPO evaluation: per-fold oversample/train/predict/smooth, then
-    participant-level metrics against the majority-class baseline. n_jobs > 1
-    runs the folds in spawned workers, as synth.generate_corpus does.
+    """Full LOPO evaluation: per-fold oversample/train/predict/smooth, one
+    fold after another in this process, then participant-level metrics
+    against the majority-class baseline.
 
     Raises:
-        ParamError: top_n below 1, a negative seed, n_jobs below 1 or a
-            non-finite importance_threshold.
+        ParamError: top_n below 1, a negative seed or a non-finite
+            importance_threshold.
         InsufficientData: fewer than two participants in either class, so
             that some fold would train on one class.
     """
@@ -291,8 +280,6 @@ def evaluate(
         raise ParamError(f"top_n must be >= 1, got {top_n}")
     if seed < 0:
         raise ParamError(f"seed must be >= 0, got {seed}")
-    if n_jobs < 1:
-        raise ParamError(f"n_jobs (folds in parallel) must be >= 1, got {n_jobs}")
     if importance_threshold is not None and not math.isfinite(importance_threshold):
         raise ParamError(f"importance_threshold must be finite, got {importance_threshold}")
     labels = [data.participant_label(pid) for pid in data.participants()]
@@ -303,20 +290,11 @@ def evaluate(
             f"and {n_unbiased} unbiased"
         )
     model_params = model_params or GbtParams()
-    folds = lopo_folds(data)
-    jobs = [
-        (train_rows, test_rows, pid, seed + 1000 * i)
-        for i, (train_rows, test_rows, pid) in enumerate(folds)
+    sorted_columns = presort(data.X)
+    results = [
+        _run_fold(data, sorted_columns, model_params, train_rows, test_rows, pid, seed + 1000 * i)
+        for i, (train_rows, test_rows, pid) in enumerate(lopo_folds(data))
     ]
-    shared = (data, presort(data.X), model_params)
-    if n_jobs > 1:
-        # spawn, not fork: numpy's BLAS has started threads in this process.
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(n_jobs, mp_context=context, initializer=_share,
-                                 initargs=shared) as pool:
-            results = list(pool.map(_run_shared_fold, jobs))
-    else:
-        results = [_run_fold(*shared, job) for job in jobs]
 
     truths = np.array([r.truth for r in results])
     verdicts = np.array([r.verdict for r in results])
@@ -326,11 +304,8 @@ def evaluate(
     window_truths = np.concatenate([[r.truth] * len(r.predicted) for r in results])
     window_preds = np.concatenate([r.predicted for r in results])
 
-    counts, reported = aggregate_importance(
+    counts, reported, threshold = aggregate_importance(
         [r.importance for r in results], top_n=top_n, threshold=importance_threshold
-    )
-    threshold = (
-        importance_threshold if importance_threshold is not None else len(results) / 2.0
     )
 
     locations = [r.location for r in results]

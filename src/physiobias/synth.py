@@ -42,6 +42,9 @@ AMP_GAIN_PER_EFFECT = 0.4    # amplitude multiplier slope
 MAX_SESSION_SECONDS = 172_800.0
 MAX_EFFECT_SIZE = 100.0
 
+# Where the effect sits: the whole session, or only its final third.
+EFFECT_LOCATIONS = ("uniform", "end")
+
 _BIASED_CATEGORIES = (
     "strong preference for White",
     "moderate preference for Black",
@@ -61,7 +64,7 @@ class SynthParams:
     participants_per_class: int = 20
     session_seconds: float = 300.0
     effect_size: float = 3.0
-    effect_location: str = "uniform"  # "uniform" or "end" (final third)
+    effect_location: str = "uniform"  # one of EFFECT_LOCATIONS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -73,8 +76,9 @@ class SynthParams:
         if not 0 <= self.effect_size <= MAX_EFFECT_SIZE:
             raise ParamError(f"effect_size must be >= 0 and at most {MAX_EFFECT_SIZE:g}, "
                              f"got {self.effect_size}")
-        if self.effect_location not in ("uniform", "end"):
-            raise ParamError("effect_location must be 'uniform' or 'end'")
+        if self.effect_location not in EFFECT_LOCATIONS:
+            raise ParamError(f"effect_location must be one of {EFFECT_LOCATIONS}, "
+                             f"got {self.effect_location!r}")
         if self.seed < 0:
             raise ParamError(f"seed must be >= 0, got {self.seed}")
 

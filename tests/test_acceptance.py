@@ -289,7 +289,7 @@ def test_criterion_6_end_to_end_synthetic(tmp_path):
         ["--participants-per-class", "20", "--session-seconds", "300",
          "--effect-size", "3", "--seed", "11"],
         ["--depth", "2", "--rounds", "16", "--learning-rate", "0.3",
-         "--seed", "5", "--folds-parallel", "2"],
+         "--seed", "5"],
     )
     acc = doc["participant_metrics"]["accuracy"]
     ok_acc = acc >= 0.9
@@ -306,7 +306,7 @@ def test_criterion_6_end_to_end_synthetic(tmp_path):
             ["--participants-per-class", "20", "--session-seconds", "60",
              "--effect-size", "0", "--seed", str(200 + seed)],
             ["--depth", "2", "--rounds", "6", "--learning-rate", "0.3",
-             "--seed", str(seed), "--folds-parallel", "2"],
+             "--seed", str(seed)],
         )
         accs.append(null_doc["participant_metrics"]["accuracy"])
         baselines.append(null_doc["baseline"])
@@ -327,7 +327,7 @@ def test_criterion_7_temporal_analysis(tmp_path):
         ["--participants-per-class", "20", "--session-seconds", "300",
          "--effect-size", "3", "--effect-location", "end", "--seed", "42"],
         ["--depth", "2", "--rounds", "16", "--learning-rate", "0.3",
-         "--seed", "7", "--folds-parallel", "2"],
+         "--seed", "7"],
     )
     end_fraction = doc["end_fraction"]
     n_correct_biased = sum(

@@ -37,6 +37,11 @@ def test_cli_import_leaves_scipy_unloaded():
     assert loaded_after_import("physiobias.cli", ("scipy",)) == []
 
 
+def test_evaluation_import_starts_no_process_pool():
+    # The folds run in one process.
+    assert loaded_after_import("physiobias.evaluation", ("multiprocessing", "concurrent")) == []
+
+
 def test_synth_import_loads_only_its_dependencies():
     # The package root re-exports nothing, so the generator (and each
     # spawned synth worker) loads neither the model, the features nor scipy.
@@ -287,14 +292,6 @@ class TestEvaluateCommand:
         assert (tmp_path / "a" / "importance_counts.csv").exists()
         assert (tmp_path / "a" / "group_stats.csv").exists()
 
-    def test_parallel_folds_identical(self, features_csv, tmp_path):
-        base = ["evaluate", "--features", str(features_csv),
-                "--rounds", "4", "--depth", "2", "--seed", "3"]
-        assert main(base + ["--out", str(tmp_path / "s"), "--folds-parallel", "1"]) == 0
-        assert main(base + ["--out", str(tmp_path / "p"), "--folds-parallel", "2"]) == 0
-        assert (tmp_path / "s" / "report.json").read_bytes() == \
-               (tmp_path / "p" / "report.json").read_bytes()
-
     @pytest.mark.parametrize("flag, value, reason", [
         ("--depth", "0", "depth must be >= 1"),
         ("--learning-rate", "2", "learning_rate must be in (0, 1]"),
@@ -470,14 +467,26 @@ def _session_dir_is_a_file(corpus, features, tmp):
     return _synth_args(tmp)
 
 
-def _label_two(corpus, features, tmp):
-    meta, header, *rows = features.read_text().splitlines()
-    cells = [row.split(",") for row in rows]
-    for row in cells:
-        row[2] = "2" if row[2] == "0" else row[2]
-    path = tmp / "features.csv"
-    path.write_text("\n".join([meta, header] + [",".join(row) for row in cells]) + "\n")
-    return _evaluate_args(path, tmp / "out")
+def _features_with(edit):
+    """A case that evaluates features.csv after `edit` rewrote its header and
+    rows, each a list of cells."""
+    def build(corpus, features, tmp):
+        meta, header, *rows = features.read_text().splitlines()
+        header, rows = edit(header.split(","), [row.split(",") for row in rows])
+        path = tmp / "features.csv"
+        path.write_text("\n".join([meta] + [",".join(row) for row in [header, *rows]]) + "\n")
+        return _evaluate_args(path, tmp / "out")
+    return build
+
+
+def _two_per_class(rows):
+    """The rows again under new participant ids, so that every fold could train."""
+    return rows + [[row[0] + "b", *row[1:]] for row in rows]
+
+
+_label_two = _features_with(
+    lambda header, rows: (header, [[*row[:2], "2" if row[2] == "0" else row[2], *row[3:]]
+                                   for row in rows]))
 
 
 def _report_of(text):
@@ -527,7 +536,11 @@ CONTRACT = [
      "seed must be >= 0"),
     ("evaluate-folds-parallel-0",
      lambda c, f, t: _evaluate_args(f, t / "out", "--folds-parallel", "0"),
-     "must be >= 1, got 0"),
+     "--folds-parallel must be 1 (folds run in one process), got 0"),
+    # checked before the features file is read
+    ("evaluate-folds-parallel-2",
+     lambda c, f, t: _evaluate_args(t / "missing.csv", t / "out", "--folds-parallel", "2"),
+     "--folds-parallel must be 1 (folds run in one process), got 2"),
     ("evaluate-importance-threshold-nan",
      lambda c, f, t: _evaluate_args(f, t / "out", "--importance-threshold", "nan"),
      "importance_threshold must be finite"),
@@ -535,6 +548,18 @@ CONTRACT = [
      lambda c, f, t: _evaluate_args(f, t / "out", "--reg-lambda", "nan"),
      "reg_lambda and min_child_weight must be >= 0"),
     ("evaluate-label-2", _label_two, "labels must be 0 or 1"),
+    ("evaluate-no-feature-column",
+     _features_with(lambda h, rows: (h[:3], _two_per_class([row[:3] for row in rows]))),
+     "no feature column in the header"),
+    ("evaluate-repeated-column-name",
+     _features_with(lambda h, rows: (h[:4] + h[3:4], _two_per_class([row[:5] for row in rows]))),
+     "empty or repeated column name 'eda_max' in the header"),
+    ("evaluate-empty-column-name",
+     _features_with(lambda h, rows: (h[:3] + [""] + h[4:], _two_per_class(rows))),
+     "empty or repeated column name '' in the header"),
+    ("evaluate-repeated-window",
+     _features_with(lambda h, rows: (h, _two_per_class(rows + rows[:1]))),
+     "participant 'P001' has window 0 twice"),
     ("evaluate-one-participant-per-class", lambda c, f, t: _evaluate_args(f, t / "out"),
      "needs >= 2 participants per class, got 1 biased and 1 unbiased"),
     ("report-on-a-list", _report_of("[]"), "not a physiobias report"),

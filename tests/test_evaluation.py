@@ -1,13 +1,9 @@
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
 import oracles
 from conftest import make_dataset
-from physiobias import evaluation
 from physiobias.errors import DegenerateLabels, InsufficientData, ParamError
 from physiobias.evaluation import (
     aggregate_importance,
@@ -18,25 +14,6 @@ from physiobias.evaluation import (
     oversample_weights,
 )
 from physiobias.gbt import GbtParams
-
-# Directory where each fold worker started by guard_argsort_then_share leaves
-# a file named after its pid.
-WORKER_MARKS = "PHYSIOBIAS_TEST_WORKER_MARKS"
-
-
-def guard_argsort_then_share(*shared):
-    """Fold-pool initializer: fail any argsort of a 2-D array in this worker,
-    mark that the guard is in place, then share the fold inputs."""
-    argsort = np.argsort
-
-    def guarded_argsort(a, *args, **kwargs):
-        assert np.ndim(a) != 2, "feature matrix sorted again in a fold worker"
-        return argsort(a, *args, **kwargs)
-
-    np.argsort = guarded_argsort
-    (Path(os.environ[WORKER_MARKS]) / str(os.getpid())).touch()
-    evaluation._share(*shared)
-
 
 def participant_dataset(
     n_biased=5, n_unbiased=4, windows=6, n_features=4, seed=0, shift=0.0
@@ -198,19 +175,21 @@ class TestAggregateImportance:
             {"a": 0.9, "c": 0.1},
             {"a": 0.4, "b": 0.6},
         ]
-        counts, reported = aggregate_importance(folds, top_n=2, threshold=1.5)
+        counts, reported, threshold = aggregate_importance(folds, top_n=2, threshold=1.5)
         assert counts["a"] == 3
         assert counts["b"] == 2
         assert counts["c"] == 1
         assert reported == ["a", "b"]
+        assert threshold == 1.5
 
     def test_default_threshold_half_folds(self):
         folds = [{"a": 1.0}] * 4 + [{"b": 1.0}] * 2
-        counts, reported = aggregate_importance(folds, top_n=5)
+        counts, reported, threshold = aggregate_importance(folds, top_n=5)
+        assert threshold == 3.0
         assert reported == ["a"]  # 4 > 3; b's 2 <= 3
 
     def test_never_split_feature_omitted(self):
-        counts, _ = aggregate_importance([{"a": 1.0}, {}], top_n=3)
+        counts, _, _ = aggregate_importance([{"a": 1.0}, {}], top_n=3)
         assert "b" not in counts
 
 
@@ -249,17 +228,6 @@ class TestEvaluate:
                 if prec + rec:
                     assert m1.f1 == pytest.approx(2 * prec * rec / (prec + rec))
 
-    def test_deterministic_across_parallelism(self):
-        data = participant_dataset(n_biased=4, n_unbiased=4, windows=5,
-                                   seed=10, shift=2.0)
-        params = GbtParams(depth=2, rounds=5, learning_rate=0.3)
-        serial = evaluate(data, params, seed=4, n_jobs=1)
-        parallel = evaluate(data, params, seed=4, n_jobs=2)
-        assert [f.verdict for f in serial.folds] == [f.verdict for f in parallel.folds]
-        for a, b in zip(serial.folds, parallel.folds):
-            np.testing.assert_array_equal(a.probabilities, b.probabilities)
-        assert serial.importance_counts == parallel.importance_counts
-
     def test_fold_window_order(self):
         data = participant_dataset(n_biased=3, n_unbiased=3, windows=4, seed=11)
         report = evaluate(data, GbtParams(depth=1, rounds=2), seed=5)
@@ -267,12 +235,9 @@ class TestEvaluate:
             assert fold.window_indices.tolist() == sorted(fold.window_indices.tolist())
             assert len(fold.predicted) == 4
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_feature_matrix_sorted_once(self, monkeypatch, tmp_path, n_jobs):
+    def test_feature_matrix_sorted_once(self, monkeypatch):
         # Every fold and node filters one presort of the whole matrix. A
-        # second argsort of a 2-D array fails the run. Spawned workers import
-        # numpy afresh and do not see this patch, so with n_jobs=2 the pool
-        # initializer installs its own guard in each worker and leaves a mark.
+        # second argsort of a 2-D array fails the run.
         data = participant_dataset(n_biased=4, n_unbiased=3, windows=6, seed=12, shift=1.0)
         data.X[::5, 1] = np.nan
         calls = []
@@ -285,13 +250,9 @@ class TestEvaluate:
             return argsort(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "argsort", counting_argsort)
-        monkeypatch.setattr(evaluation, "_share", guard_argsort_then_share)
-        monkeypatch.setenv(WORKER_MARKS, str(tmp_path))
-        report = evaluate(data, GbtParams(depth=3, rounds=4, learning_rate=0.3),
-                          seed=6, n_jobs=n_jobs)
+        report = evaluate(data, GbtParams(depth=3, rounds=4, learning_rate=0.3), seed=6)
         assert calls == [(data.X.shape[1], data.n_rows)]
         assert report.n_participants == 7
-        assert (len(list(tmp_path.iterdir())) > 0) == (n_jobs > 1)
 
     def test_top_n_below_one_rejected(self):
         data = participant_dataset()
