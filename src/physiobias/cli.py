@@ -136,6 +136,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     session_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())
     if not session_dirs:
         raise NoSessions(f"no session directories in {data_dir}")
+    if not (np.isfinite(args.min_duration) and args.min_duration >= 0):
+        raise ParamError(f"min_duration must be finite and >= 0, got {args.min_duration}")
     labels = load_labels(args.labels)
     decomp = DecompParams(
         knot_spacing=args.knot_spacing,
@@ -164,7 +166,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             matrix, components = extract_session_features(
                 session, decomp, window_seconds=args.window_seconds
             )
-            extracted.append((session.participant_id, int(session.label.value), matrix))
+            extracted.append((session.participant_id, session.label, matrix))
             diagnostics.append({
                 "participant": session.participant_id,
                 "converged": components.converged,
@@ -202,7 +204,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _report_to_dict(report: EvalReport, meta: dict) -> dict:
-    doc = dataclasses.asdict(report)
+    # The folds are summarised below; asdict would deep-copy their arrays.
+    doc = dataclasses.asdict(dataclasses.replace(report, folds=[]))
     doc["folds"] = [
         {
             "participant": f.participant,
@@ -216,7 +219,6 @@ def _report_to_dict(report: EvalReport, meta: dict) -> dict:
         }
         for f in report.folds
     ]
-    doc["group_stats"] = [dataclasses.asdict(s) for s in report.group_stats]
     doc["meta"] = meta
     return doc
 

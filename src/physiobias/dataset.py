@@ -79,7 +79,8 @@ def from_csv(path: str | Path) -> Dataset:
     Raises:
         ParseError: an unreadable or undecodable file, or a malformed one:
             among others, a header with no feature column or with an empty
-            or repeated column name, or a repeated (participant, window).
+            or repeated column name, a repeated (participant, window), or
+            an infinite feature cell (an empty cell is a missing value).
         LabelError: a label other than 0 or 1, or a participant whose
             windows carry both labels.
     """
@@ -128,8 +129,14 @@ def from_csv(path: str | Path) -> Dataset:
             raise ParseError(f"{path}: row with empty participant_id")
         if label not in (0, 1):
             raise LabelError(f"{path}: participant {pid!r} has label {label}; labels must be 0 or 1")
+    X = np.asarray(rows, dtype=float).reshape(len(rows), len(columns))
+    infinite = np.argwhere(np.isinf(X))
+    if infinite.size:
+        row, col = infinite[0]
+        raise ParseError(f"{path}: data row {row + 1}: column {columns[col]!r} "
+                         f"holds an infinite value")
     return Dataset(
-        X=np.asarray(rows, dtype=float).reshape(len(rows), len(columns)),
+        X=X,
         y=np.asarray(labels),
         participant_ids=np.asarray(pids, dtype=object),
         window_indices=np.asarray(widx),

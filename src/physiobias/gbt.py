@@ -47,27 +47,24 @@ class GbtParams:
             raise ParamError("reg_lambda and min_child_weight must be >= 0")
 
 
-@dataclass
-class TreeNode:
-    """Split node or leaf. Leaves keep feature = None and a weight."""
+class Tree(NamedTuple):
+    """One fitted tree as per-node arrays in pre-order, the root at node 0.
 
-    feature: int | None = None
-    threshold: float = 0.0
-    missing_left: bool = True
-    gain: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float = 0.0
+    A leaf has feature -1 and is its own left and right child. Every node
+    keeps its Newton step in weight; prediction reads it at the leaves."""
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    feature: np.ndarray       # (nodes,) int, -1 at a leaf
+    threshold: np.ndarray     # (nodes,) float; v < threshold goes left
+    missing_left: np.ndarray  # (nodes,) bool, the branch of a missing value
+    gain: np.ndarray          # (nodes,) float, 0 at a leaf
+    weight: np.ndarray        # (nodes,) float
+    left: np.ndarray          # (nodes,) int child index
+    right: np.ndarray         # (nodes,) int child index
 
 
 @dataclass
 class TrainedModel:
-    trees: list[TreeNode]
-    learning_rate: float
+    trees: list[Tree]
     base_score: float              # log-odds of the training prior
     column_names: list[str]
     params: GbtParams
@@ -283,56 +280,55 @@ def _build_tree(
     gw: np.ndarray,
     hw: np.ndarray,
     members: np.ndarray,
-    cols: SortedColumns | None,
-    depth: int,
+    cols: SortedColumns,
     params: GbtParams,
-) -> TreeNode:
-    """Grow a node over its member rows (ascending). cols holds the same rows
-    presorted; it is None for a node at full depth, which never searches."""
-    g_tot = float(gw[members].sum())
-    h_tot = float(hw[members].sum())
-    leaf_weight = -g_tot / (h_tot + params.reg_lambda)
-    if depth >= params.depth or members.size < 2:
-        return TreeNode(weight=leaf_weight)
-    split = _search(cols, gw, hw, g_tot, h_tot, params.reg_lambda, params.min_child_weight)
-    if split is None:
-        return TreeNode(weight=leaf_weight)
-    v = X[members, split.feature]
-    go_left = np.where(np.isnan(v), split.missing_left, v < split.threshold)
-    left, right = members[go_left], members[~go_left]
-    left_cols = right_cols = None
-    if depth + 1 < params.depth:
-        on_left = np.zeros(X.shape[0], dtype=bool)
-        on_left[left] = True
-        mask = on_left[cols.rows]
-        left_cols = _take(cols, mask, left.size)
-        right_cols = _take(cols, ~mask, right.size)
-    return TreeNode(
-        feature=split.feature,
-        threshold=split.threshold,
-        missing_left=split.missing_left,
-        gain=split.gain,
-        left=_build_tree(X, gw, hw, left, left_cols, depth + 1, params),
-        right=_build_tree(X, gw, hw, right, right_cols, depth + 1, params),
-    )
+) -> Tree:
+    """Grow one tree over its member rows (ascending), presorted in cols."""
+    nodes: list[list] = []  # feature, threshold, missing_left, gain, weight, left, right
+
+    def grow(members: np.ndarray, cols: SortedColumns | None, depth: int) -> int:
+        """Append the node over members, then its subtree; return the node's
+        index. cols is None for a node at full depth, which never searches."""
+        at = len(nodes)
+        g_tot = float(gw[members].sum())
+        h_tot = float(hw[members].sum())
+        nodes.append([-1, 0.0, True, 0.0, -g_tot / (h_tot + params.reg_lambda), at, at])
+        if depth >= params.depth or members.size < 2:
+            return at
+        split = _search(cols, gw, hw, g_tot, h_tot, params.reg_lambda, params.min_child_weight)
+        if split is None:
+            return at
+        v = X[members, split.feature]
+        go_left = np.where(np.isnan(v), split.missing_left, v < split.threshold)
+        left, right = members[go_left], members[~go_left]
+        left_cols = right_cols = None
+        if depth + 1 < params.depth:
+            on_left = np.zeros(X.shape[0], dtype=bool)
+            on_left[left] = True
+            mask = on_left[cols.rows]
+            left_cols = _take(cols, mask, left.size)
+            right_cols = _take(cols, ~mask, right.size)
+        nodes[at][:4] = split.feature, split.threshold, split.missing_left, split.gain
+        nodes[at][5] = grow(left, left_cols, depth + 1)
+        nodes[at][6] = grow(right, right_cols, depth + 1)
+        return at
+
+    grow(members, cols, 0)
+    return Tree(*map(np.array, zip(*nodes)))
 
 
-def _tree_values(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    stack = [(node, np.arange(X.shape[0]))]
-    while stack:
-        nd, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if nd.is_leaf:
-            out[rows] = nd.weight
-            continue
-        v = X[rows, nd.feature]
-        nan_mask = np.isnan(v)
-        go_left = np.where(nan_mask, nd.missing_left, v < nd.threshold)
-        stack.append((nd.left, rows[go_left]))
-        stack.append((nd.right, rows[~go_left]))
-    return out
+def _tree_values(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """The leaf weight of every row of X. All rows descend one level at a
+    time until each sits on a leaf, which is its own child."""
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    feature = tree.feature[node]
+    while (feature >= 0).any():
+        v = X[rows, feature]
+        go_left = np.where(np.isnan(v), tree.missing_left[node], v < tree.threshold[node])
+        node = np.where(go_left, tree.left[node], tree.right[node])
+        feature = tree.feature[node]
+    return tree.weight[node]
 
 
 def train(
@@ -367,20 +363,19 @@ def train(
     base_score = float(np.log(prior / (1.0 - prior)))
     margin = np.full(n, base_score)
 
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     losses: list[float] = []
     for _ in range(params.rounds):
         p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
-        tree = _build_tree(X, w * g, w * h, members, sorted_columns, 0, params)
+        tree = _build_tree(X, w * g, w * h, members, sorted_columns, params)
         trees.append(tree)
         margin = margin + params.learning_rate * _tree_values(tree, X)
         losses.append(_log_loss(y, _sigmoid(margin), w))
 
     return TrainedModel(
         trees=trees,
-        learning_rate=params.learning_rate,
         base_score=base_score,
         column_names=list(data.column_names),
         params=params,
@@ -397,7 +392,7 @@ def predict_margin(model: TrainedModel, X: np.ndarray) -> np.ndarray:
         )
     margin = np.full(X.shape[0], model.base_score)
     for tree in model.trees:
-        margin += model.learning_rate * _tree_values(tree, X)
+        margin += model.params.learning_rate * _tree_values(tree, X)
     return margin
 
 
@@ -408,34 +403,17 @@ def predict_proba_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 def importance(model: TrainedModel) -> dict[str, float]:
     """Total split gain per feature, normalized to sum 1. Empty when the
     ensemble never split."""
-    totals = np.zeros(model.n_features)
-
-    def visit(node: TreeNode) -> None:
-        if node.is_leaf:
-            return
-        totals[node.feature] += node.gain
-        visit(node.left)
-        visit(node.right)
-
-    for tree in model.trees:
-        visit(tree)
+    if not model.trees:
+        return {}
+    feature = np.concatenate([t.feature for t in model.trees])
+    gain = np.concatenate([t.gain for t in model.trees])
+    split = feature >= 0
+    # bincount adds in node order, as a pre-order walk of the trees would.
+    totals = np.bincount(feature[split], weights=gain[split], minlength=model.n_features)
     total = totals.sum()
     if total <= 0:
         return {}
     return {
         model.column_names[i]: float(totals[i] / total)
         for i in np.flatnonzero(totals > 0)
-    }
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "missing_left": node.missing_left,
-        "gain": node.gain,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
     }

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -52,26 +51,19 @@ CHANNEL_FILES = {
 _BIASED_TOKENS = frozenset({"strong", "moderate"})
 _UNBIASED_TOKENS = frozenset({"slight", "no"})
 
-#: The eight IAT result strings: four intensity levels crossed with the two
-#: preference directions. The leading token alone decides the binary label.
-CANONICAL_CATEGORIES = tuple(
-    f"{level} preference for {direction}"
-    for level in ("strong", "moderate", "slight", "no")
-    for direction in ("White", "Black")
+#: The eight IAT result strings, four biased then four unbiased, in the
+#: order synth cycles through each class. The leading token alone decides
+#: the binary label.
+IAT_CATEGORIES = (
+    "strong preference for White",
+    "moderate preference for Black",
+    "strong preference for Black",
+    "moderate preference for White",
+    "slight preference for White",
+    "no preference for Black",
+    "slight preference for Black",
+    "no preference for White",
 )
-
-
-class Bias(IntEnum):
-    UNBIASED = 0
-    BIASED = 1
-
-
-@dataclass(frozen=True)
-class BiasLabel:
-    """Binary bias label plus the IAT category it came from."""
-
-    value: Bias
-    source_category: str
 
 
 @dataclass
@@ -84,7 +76,7 @@ class RawSession:
     hr: Signal
     skt: Signal
     acc: TriaxialSignal
-    label: BiasLabel
+    label: int  # 1 biased, 0 unbiased
 
 
 def _parse_header_line(line: str, path: Path, lineno: int, ncols: int) -> float:
@@ -194,8 +186,9 @@ def write_e4_csv(signal: Signal | TriaxialSignal, path: str | Path) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
-def map_iat_category(category: str) -> BiasLabel:
-    """Map an IAT category string to the binary bias label.
+def map_iat_category(category: str) -> int:
+    """Map an IAT category string to the binary bias label: 1 biased, 0
+    unbiased.
 
     Strong and moderate preferences are biased; slight and no preferences
     are unbiased. Matching is case-insensitive on the leading token.
@@ -208,13 +201,13 @@ def map_iat_category(category: str) -> BiasLabel:
         raise LabelError("empty IAT category")
     head = tokens[0].lower()
     if head in _BIASED_TOKENS:
-        return BiasLabel(value=Bias.BIASED, source_category=category)
+        return 1
     if head in _UNBIASED_TOKENS:
-        return BiasLabel(value=Bias.UNBIASED, source_category=category)
+        return 0
     raise LabelError(f"unrecognized IAT category {category!r}")
 
 
-def load_labels(path: str | Path) -> dict[str, BiasLabel]:
+def load_labels(path: str | Path) -> dict[str, int]:
     """Read the labels CSV (header: participant_id,iat_category).
 
     Raises:
@@ -231,7 +224,7 @@ def load_labels(path: str | Path) -> dict[str, BiasLabel]:
         raise ParseError(f"{path}: cannot read: {exc}") from None
     if fieldnames is None or not {"participant_id", "iat_category"} <= set(fieldnames):
         raise ParseError(f"{path}: expected header 'participant_id,iat_category'")
-    labels: dict[str, BiasLabel] = {}
+    labels: dict[str, int] = {}
     for row in rows:
         pid = (row["participant_id"] or "").strip()
         if not pid:
@@ -259,7 +252,7 @@ def _trim(sig: Signal | TriaxialSignal, t0: float, t1: float) -> Signal | Triaxi
 
 def assemble_session(
     session_dir: str | Path,
-    labels: dict[str, BiasLabel],
+    labels: dict[str, int],
     min_duration: float = MIN_SESSION_SECONDS,
 ) -> RawSession:
     """Parse one session directory into an aligned, labeled RawSession.

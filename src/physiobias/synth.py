@@ -23,7 +23,7 @@ import numpy as np
 
 from .eda import phasic_kernel
 from .errors import ParamError
-from .ingest import ACC_COUNTS_PER_G, PLAUSIBLE_RANGES, write_e4_csv
+from .ingest import ACC_COUNTS_PER_G, IAT_CATEGORIES, PLAUSIBLE_RANGES, write_e4_csv
 from .signals import Signal, TriaxialSignal
 
 RATES = {"eda": 4.0, "bvp": 64.0, "hr": 1.0, "skt": 4.0, "acc": 32.0}
@@ -44,20 +44,6 @@ MAX_EFFECT_SIZE = 100.0
 
 # Where the effect sits: the whole session, or only its final third.
 EFFECT_LOCATIONS = ("uniform", "end")
-
-_BIASED_CATEGORIES = (
-    "strong preference for White",
-    "moderate preference for Black",
-    "strong preference for Black",
-    "moderate preference for White",
-)
-_UNBIASED_CATEGORIES = (
-    "slight preference for White",
-    "no preference for Black",
-    "slight preference for Black",
-    "no preference for White",
-)
-
 
 @dataclass
 class SynthParams:
@@ -181,7 +167,7 @@ def _write_session(sessions_dir: Path, params: SynthParams, idx: int,
     biased = idx < params.participants_per_class
     pid = f"P{idx + 1:03d}"
     rng = np.random.default_rng(stream)
-    category_pool = _BIASED_CATEGORIES if biased else _UNBIASED_CATEGORIES
+    category_pool = IAT_CATEGORIES[:4] if biased else IAT_CATEGORIES[4:]
 
     # Channel start offsets exercise alignment trimming on ingest.
     base_start = 1.6e9 + idx * 10000.0

@@ -44,6 +44,22 @@ def make_dataset(X, y, pids=None, window_indices=None, columns=None) -> Dataset:
     )
 
 
+def tree_dict(tree, node: int = 0) -> dict:
+    """A fitted gbt.Tree as the nested dicts of oracles.o_train_duplicated:
+    {"weight"} for a leaf; feature, threshold, missing_left, gain, left and
+    right for a split."""
+    if tree.feature[node] < 0:
+        return {"weight": float(tree.weight[node])}
+    return {
+        "feature": int(tree.feature[node]),
+        "threshold": float(tree.threshold[node]),
+        "missing_left": bool(tree.missing_left[node]),
+        "gain": float(tree.gain[node]),
+        "left": tree_dict(tree, int(tree.left[node])),
+        "right": tree_dict(tree, int(tree.right[node])),
+    }
+
+
 @pytest.fixture
 def dataset_factory():
     return make_dataset

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_dataset, slice_features
+from conftest import make_dataset, slice_features, tree_dict
 from physiobias import evaluation, gbt
 from physiobias.cli import main
 from physiobias.eda import DecompParams, bateman_kernel, decompose
@@ -211,7 +211,7 @@ def test_criterion_4_gbt():
     ok_loss = bool(np.all(np.diff(losses) <= 1e-12))
 
     second = train(data, GbtParams(depth=2, rounds=50))
-    dump = lambda m: json.dumps([gbt._node_to_dict(t) for t in m.trees], sort_keys=True)
+    dump = lambda m: json.dumps([tree_dict(t) for t in m.trees], sort_keys=True)
     ok_det = dump(model) == dump(second)
 
     report(4, ok_xor and ok_splits and ok_loss and ok_det,

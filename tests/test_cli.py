@@ -90,8 +90,7 @@ class TestSynth:
 
     def test_labels_cover_both_classes(self, corpus):
         labels = load_labels(corpus / "labels.csv")
-        values = [int(v.value) for v in labels.values()]
-        assert sorted(set(values)) == [0, 1]
+        assert sorted(set(labels.values())) == [0, 1]
 
     def test_sessions_assemble(self, corpus):
         labels = load_labels(corpus / "labels.csv")
@@ -526,6 +525,12 @@ CONTRACT = [
     ("extract-decomp-alpha-nan",
      lambda c, f, t: _extract_args(c, t / "out") + ["--decomp-alpha", "nan"],
      "alpha, gamma and tol must be > 0"),
+    ("extract-min-duration-nan",
+     lambda c, f, t: _extract_args(c, t / "out") + ["--min-duration", "nan"],
+     "min_duration must be finite and >= 0, got nan"),
+    ("extract-min-duration-negative",
+     lambda c, f, t: _extract_args(c, t / "out") + ["--min-duration", "-5"],
+     "min_duration must be finite and >= 0, got -5.0"),
     ("extract-overflowing-acc-row", _overflowing_acc, "skipping P001: "),
     # finite, but its fourth power is not
     ("extract-eda-sample-1e300", _eda_sample("1e300"), "skipping P001: "),
@@ -560,6 +565,10 @@ CONTRACT = [
     ("evaluate-repeated-window",
      _features_with(lambda h, rows: (h, _two_per_class(rows + rows[:1]))),
      "participant 'P001' has window 0 twice"),
+    ("evaluate-infinite-feature-cell",
+     _features_with(lambda h, rows: (h, _two_per_class(
+         [rows[0], [*rows[1][:3], "inf", *rows[1][4:]], *rows[2:]]))),
+     "data row 2: column 'eda_max' holds an infinite value"),
     ("evaluate-one-participant-per-class", lambda c, f, t: _evaluate_args(f, t / "out"),
      "needs >= 2 participants per class, got 1 biased and 1 unbiased"),
     ("report-on-a-list", _report_of("[]"), "not a physiobias report"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_dataset
+from conftest import make_dataset, tree_dict
 from physiobias import gbt
 from physiobias.errors import DegenerateLabels, ShapeError
 from physiobias.gbt import (
@@ -38,14 +38,14 @@ class TestTrain:
         X = np.column_stack([rng.normal(size=n), y + rng.normal(0, 0.05, n)])
         data = make_dataset(X, y)
         model = train(data, GbtParams(depth=1, rounds=1))
-        root = model.trees[0]
-        assert root.feature == 1
+        tree = model.trees[0]
+        assert tree.feature[0] == 1
         p0 = float(np.mean(y))
         g = np.full(n, p0) - y
         h = np.full(n, p0 * (1 - p0))
         want = oracles.o_best_split(X, g, h, np.arange(n), 1.0, 1.0)
-        assert root.feature == want[1]
-        assert root.threshold == pytest.approx(want[2], rel=1e-12)
+        assert tree.feature[0] == want[1]
+        assert tree.threshold[0] == pytest.approx(want[2], rel=1e-12)
 
     def test_single_class_rejected(self):
         data = make_dataset(np.random.default_rng(0).normal(size=(10, 2)), np.ones(10))
@@ -65,7 +65,7 @@ class TestTrain:
         params = GbtParams(depth=3, rounds=20)
         a = train(data, params)
         b = train(data, params)
-        dump = lambda m: json.dumps([gbt._node_to_dict(t) for t in m.trees], sort_keys=True)
+        dump = lambda m: json.dumps([tree_dict(t) for t in m.trees], sort_keys=True)
         assert dump(a) == dump(b)
         assert a.train_losses == b.train_losses
 
@@ -181,7 +181,7 @@ def _assert_same_trees(got, want):
 
 
 def _trees(model):
-    return [gbt._node_to_dict(t) for t in model.trees]
+    return [tree_dict(t) for t in model.trees]
 
 
 class TestRowWeights:
@@ -244,13 +244,9 @@ class TestRowWeights:
         assert chosen >= 10
         data, weights = _weighted_data(13)
         model = train(data, GbtParams(depth=4, rounds=10, learning_rate=0.3), weights)
-        stack = list(model.trees)
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                if node.feature not in (0, 3):
-                    assert node.missing_left
-                stack += [node.left, node.right]
+        for tree in model.trees:
+            nan_free = (tree.feature >= 0) & ~np.isin(tree.feature, (0, 3))
+            assert tree.missing_left[nan_free].all()
 
 
 class TestPredict:
@@ -293,6 +289,22 @@ class TestPredict:
         values = predict_proba_matrix(model, X)
         assert np.all(np.isfinite(values))
 
+    def test_margin_matches_a_walk_per_row(self):
+        # The level-by-level descent against one root-to-leaf walk per row.
+        data, weights = _weighted_data(14, n=300)
+        model = train(data, GbtParams(depth=4, rounds=6, learning_rate=0.3), weights)
+        X = np.vstack([data.X, np.full((1, data.X.shape[1]), np.nan)])
+        want = np.full(X.shape[0], model.base_score)
+        for tree in model.trees:
+            for r, x in enumerate(X):
+                node = 0
+                while tree.feature[node] >= 0:
+                    v = x[tree.feature[node]]
+                    left = tree.missing_left[node] if np.isnan(v) else v < tree.threshold[node]
+                    node = tree.left[node] if left else tree.right[node]
+                want[r] += model.params.learning_rate * tree.weight[node]
+        np.testing.assert_array_equal(gbt.predict_margin(model, X), want)
+
     def test_width_mismatch(self):
         model = train(xor_dataset(), GbtParams(rounds=1))
         with pytest.raises(ShapeError):
@@ -316,6 +328,22 @@ class TestImportance:
         model = train(xor_dataset(), GbtParams(depth=2, rounds=50))
         imp = importance(model)
         assert imp.get("f0", 0.0) + imp.get("f1", 0.0) >= 0.9
+
+    def test_totals_match_a_preorder_walk(self):
+        data, weights = _weighted_data(15, n=300)
+        model = train(data, GbtParams(depth=3, rounds=8, learning_rate=0.3), weights)
+        totals = np.zeros(model.n_features)
+
+        def visit(tree, node):
+            if tree.feature[node] >= 0:
+                totals[tree.feature[node]] += tree.gain[node]
+                visit(tree, tree.left[node])
+                visit(tree, tree.right[node])
+
+        for tree in model.trees:
+            visit(tree, 0)
+        want = {name: t / totals.sum() for name, t in zip(data.column_names, totals) if t > 0}
+        assert importance(model) == want
 
     def test_no_splits_empty(self):
         data = xor_dataset(n=40)
