@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -277,10 +278,16 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
         text = args.input.read_text() if args.input else sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read the sequence: {exc}") from None
-    tokens = [ch for ch in text if ch in "01"]
-    if not tokens:
+    bad = re.search(r"[^01,\s]", text)
+    if bad:
+        at = bad.start()
+        line = text.count("\n", 0, at) + 1
+        column = at - text.rfind("\n", 0, at)
+        raise ParseError(f"{args.input or '<stdin>'}:{line}:{column}: unexpected character "
+                         f"{bad.group()!r}; a sequence holds only 0, 1, commas and whitespace")
+    labels = [int(ch) for ch in text if ch in "01"]
+    if not labels:
         raise ParseError("no 0/1 labels found in input")
-    labels = [int(t) for t in tokens]
     smoothed, trace = smooth_with_trace(labels)
     for line in trace:
         print(line)

@@ -254,27 +254,6 @@ def _search(
     )
 
 
-def _best_split(
-    X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    rows: np.ndarray,
-    reg_lambda: float,
-    min_child_weight: float,
-) -> _Split | None:
-    """Exact greedy split of X[rows]: the search that training runs, on a
-    fresh presort of X. A row listed k times counts as weight k."""
-    w = np.bincount(rows, minlength=X.shape[0])
-    members = np.flatnonzero(w)
-    cols = presort(X)
-    cols = _take(cols, (w > 0)[cols.rows], members.size)
-    gw, hw = w * g, w * h
-    return _search(
-        cols, gw, hw, float(gw[members].sum()), float(hw[members].sum()),
-        reg_lambda, min_child_weight,
-    )
-
-
 def _build_tree(
     X: np.ndarray,
     gw: np.ndarray,

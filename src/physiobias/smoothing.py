@@ -3,9 +3,9 @@
 A prediction sequence is viewed as maximal runs of identical labels. Passes
 k = 1, 2, 3, ... sweep the sequence left to right; every run of length
 exactly k whose two flanking runs agree is relabeled to the flanking label,
-and a run at a sequence boundary is absorbed into its single neighbor. Runs
-are re-derived immediately after every merge, so an absorbed run can never
-trigger a further merge inside the same sweep.
+and a run at a sequence boundary is absorbed into its single neighbor. A
+run's left flank is judged as the sweep has left it, merges included, and a
+run absorbed in a pass does not trigger another merge in that pass.
 
 Between passes the process stops once fewer than three runs remain, or once
 every remaining run is longer than the mean run length of the original
@@ -40,51 +40,41 @@ def runs(labels: Sequence[int]) -> list[RunBlock]:
     return out
 
 
-def _format_runs(rs: list[RunBlock]) -> str:
-    return " ".join(f"{r.label}x{r.length}" for r in rs)
+def _format_runs(rs: list[tuple[int, int]]) -> str:
+    return " ".join(f"{label}x{length}" for label, length in rs)
 
 
 def smooth_with_trace(labels: Sequence[int]) -> tuple[list[int], list[str]]:
-    """Smooth a 0/1 sequence; also return one trace line per executed pass."""
-    current = [int(v) for v in labels]
-    original = runs(current)
-    original_mean = len(current) / len(original)
-    trace = [f"original: {_format_runs(original)}"]
+    """Smooth a 0/1 sequence; also return one trace line per executed pass.
+
+    Each pass sweeps the run list once. With 0/1 labels pass k leaves no run
+    of length k or less, so the whole smooth costs O(n)."""
+    rs = [(r.label, r.length) for r in runs([int(v) for v in labels])]
+    original_mean = len(labels) / len(rs)
+    trace = [f"original: {_format_runs(rs)}"]
 
     k = 0
-    while True:
+    while (len(rs) > 2 and k < max(length for _, length in rs)
+           and not all(length > original_mean for _, length in rs)):
         k += 1
-        rs = runs(current)
-        if len(rs) <= 2:
-            break
-        if all(r.length > original_mean for r in rs):
-            break
-        if k > max(r.length for r in rs):
-            break
-
-        pos = 0
-        while True:
-            rs = runs(current)
-            target = next((r for r in rs if r.length == k and r.start >= pos), None)
-            if target is None:
-                break
-            idx = rs.index(target)
-            left = rs[idx - 1] if idx > 0 else None
-            right = rs[idx + 1] if idx < len(rs) - 1 else None
-            if left is not None and right is not None:
-                if left.label == right.label:
-                    fill = left.label
-                else:
-                    pos = target.start + target.length  # flanks disagree: skip
-                    continue
-            elif left is not None or right is not None:
-                fill = (left or right).label
-            else:
-                break  # single run spans the sequence
-            current[target.start:target.start + target.length] = [fill] * target.length
-            pos = target.start  # merged run grew past length k; scan onward
-        trace.append(f"pass {k}: {_format_runs(runs(current))}")
-    return current, trace
+        out: list[tuple[int, int]] = []  # the runs the sweep has left behind it
+        i = 0
+        while i < len(rs):
+            label, length = rs[i]
+            right = rs[i + 1] if i + 1 < len(rs) else None
+            if length == k and out and (right is None or right[0] == out[-1][0]):
+                # absorbed into its left flank, with the right flank if any
+                out[-1] = (out[-1][0], out[-1][1] + length + (right[1] if right else 0))
+                i += 2
+            elif length == k and not out:
+                out.append((right[0], length + right[1]))  # leading boundary run
+                i += 2
+            else:  # not of length k, or its flanks disagree
+                out.append((label, length))
+                i += 1
+        rs = out
+        trace.append(f"pass {k}: {_format_runs(rs)}")
+    return [label for label, length in rs for _ in range(length)], trace
 
 
 def smooth(labels: Sequence[int]) -> list[int]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from physiobias import gbt
 from physiobias.dataset import Dataset
 from physiobias.features import (
     EDA_FEATURES,
@@ -58,6 +59,21 @@ def tree_dict(tree, node: int = 0) -> dict:
         "left": tree_dict(tree, int(tree.left[node])),
         "right": tree_dict(tree, int(tree.right[node])),
     }
+
+
+def best_split(X, g, h, rows, reg_lambda: float, min_child_weight: float):
+    """gbt._search, the split search training runs, over X[rows] on a fresh
+    presort of X: what oracles.o_best_split checks. A row listed k times
+    counts as weight k."""
+    w = np.bincount(rows, minlength=X.shape[0])
+    members = np.flatnonzero(w)
+    cols = gbt.presort(X)
+    cols = gbt._take(cols, (w > 0)[cols.rows], members.size)
+    gw, hw = w * g, w * h
+    return gbt._search(
+        cols, gw, hw, float(gw[members].sum()), float(hw[members].sum()),
+        reg_lambda, min_child_weight,
+    )
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ the package implementations it checks.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,6 +225,71 @@ def o_best_split(X, g, h, rows, reg_lambda: float, min_child_weight: float):
     if best is None or best[0] <= 0.0:
         return None
     return best
+
+
+class _ORun(NamedTuple):
+    label: int
+    start: int
+    length: int
+
+
+def _o_runs(labels) -> list[_ORun]:
+    out = []
+    start = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[start]:
+            out.append(_ORun(int(labels[start]), start, i - start))
+            start = i
+    return out
+
+
+def _o_format_runs(rs) -> str:
+    return " ".join(f"{r.label}x{r.length}" for r in rs)
+
+
+def o_smooth_with_trace(labels) -> tuple[list[int], list[str]]:
+    """smoothing.smooth_with_trace merge by merge: after every merge it
+    re-derives all runs and looks for the next run of length k from the
+    merge point on, so a pass costs O(runs x n)."""
+    current = [int(v) for v in labels]
+    original = _o_runs(current)
+    original_mean = len(current) / len(original)
+    trace = [f"original: {_o_format_runs(original)}"]
+
+    k = 0
+    while True:
+        k += 1
+        rs = _o_runs(current)
+        if len(rs) <= 2:
+            break
+        if all(r.length > original_mean for r in rs):
+            break
+        if k > max(r.length for r in rs):
+            break
+
+        pos = 0
+        while True:
+            rs = _o_runs(current)
+            target = next((r for r in rs if r.length == k and r.start >= pos), None)
+            if target is None:
+                break
+            idx = rs.index(target)
+            left = rs[idx - 1] if idx > 0 else None
+            right = rs[idx + 1] if idx < len(rs) - 1 else None
+            if left is not None and right is not None:
+                if left.label == right.label:
+                    fill = left.label
+                else:
+                    pos = target.start + target.length  # flanks disagree: skip
+                    continue
+            elif left is not None or right is not None:
+                fill = (left or right).label
+            else:
+                break  # single run spans the sequence
+            current[target.start:target.start + target.length] = [fill] * target.length
+            pos = target.start  # merged run grew past length k; scan onward
+        trace.append(f"pass {k}: {_o_format_runs(_o_runs(current))}")
+    return current, trace
 
 
 def o_mann_whitney_exact_p(x, y) -> float:

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_dataset, slice_features, tree_dict
-from physiobias import evaluation, gbt
+from conftest import best_split, make_dataset, slice_features, tree_dict
+from physiobias import evaluation
 from physiobias.cli import main
 from physiobias.eda import DecompParams, bateman_kernel, decompose
 from physiobias.evaluation import lopo_folds, mann_whitney_u
@@ -198,7 +198,7 @@ def test_criterion_4_gbt():
         p0 = float(np.mean(ys))
         g = np.full(n, p0) - ys
         h = np.full(n, p0 * (1 - p0))
-        got = gbt._best_split(Xs, g, h, np.arange(n), 1.0, 0.1)
+        got = best_split(Xs, g, h, np.arange(n), 1.0, 0.1)
         want = oracles.o_best_split(Xs, g, h, np.arange(n), 1.0, 0.1)
         if (got is None) != (want is None):
             ok_splits = False

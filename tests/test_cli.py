@@ -496,6 +496,14 @@ def _report_of(text):
     return build
 
 
+def _smooth_of(text):
+    def build(corpus, features, tmp):
+        path = tmp / "seq.txt"
+        path.write_text(text)
+        return ["smooth", "--input", str(path)]
+    return build
+
+
 CONTRACT = [
     ("synth-participants-0", lambda c, f, t: _synth_args(t, "--participants-per-class", "0"),
      "participants_per_class must be >= 1"),
@@ -571,6 +579,8 @@ CONTRACT = [
      "data row 2: column 'eda_max' holds an infinite value"),
     ("evaluate-one-participant-per-class", lambda c, f, t: _evaluate_args(f, t / "out"),
      "needs >= 2 participants per class, got 1 biased and 1 unbiased"),
+    ("smooth-label-2", _smooth_of("0 1 2 1 0\n"), "seq.txt:1:5: unexpected character '2'"),
+    ("smooth-negative-label", _smooth_of("0,-1,0\n"), "seq.txt:1:3: unexpected character '-'"),
     ("report-on-a-list", _report_of("[]"), "not a physiobias report"),
     ("report-nested-too-deep", _report_of("[" * 100_000 + "]" * 100_000), "recursion"),
     ("report-number-beyond-float",

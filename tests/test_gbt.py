@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_dataset, tree_dict
+from conftest import best_split, make_dataset, tree_dict
 from physiobias import gbt
 from physiobias.errors import DegenerateLabels, ShapeError
 from physiobias.gbt import (
@@ -89,7 +89,7 @@ class TestSplitOracle:
         p0 = float(np.mean(y))
         g = np.full(n, p0) - y
         h = np.full(n, p0 * (1 - p0))
-        got = gbt._best_split(X, g, h, np.arange(n), 1.0, 0.1)
+        got = best_split(X, g, h, np.arange(n), 1.0, 0.1)
         want = oracles.o_best_split(X, g, h, np.arange(n), 1.0, 0.1)
         if want is None:
             assert got is None
@@ -237,7 +237,7 @@ class TestRowWeights:
             X[rng.random(n) < 0.3, 0] = np.nan
             g = rng.normal(size=n)
             h = rng.uniform(0.1, 1.0, n)
-            split = gbt._best_split(X, g, h, np.arange(n), 1.0, 0.1)
+            split = best_split(X, g, h, np.arange(n), 1.0, 0.1)
             if split is not None and split.feature != 0:
                 chosen += 1
                 assert split.missing_left

@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from physiobias.smoothing import (
     RunBlock,
     final_label,
@@ -100,6 +103,41 @@ class TestSmooth:
         assert set(out) <= present
         if len(present) == 1:
             assert out == list(labels)
+
+
+def day_sequence() -> list[int]:
+    """17,280 windows (a day of 5 s windows) in about 3,000 alternating runs
+    of geometric length."""
+    rng = np.random.default_rng(16)
+    lengths = rng.geometric(3_000 / 17_280, size=4_000)
+    return np.repeat(np.arange(lengths.size) % 2, lengths)[:17_280].tolist()
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    def test_random_sequences(self, alphabet):
+        rng = np.random.default_rng(alphabet)
+        for i in range(3_000):
+            n = int(rng.integers(1, 61))
+            if i % 2:  # independent labels: mostly short runs
+                labels = rng.integers(0, alphabet, n).tolist()
+            else:  # runs of 1-6 windows
+                lengths = rng.integers(1, 7, n)
+                labels = np.repeat(rng.integers(0, alphabet, n), lengths)[:n].tolist()
+            assert smooth_with_trace(labels) == oracles.o_smooth_with_trace(labels), labels
+
+    def test_day_sequence(self):
+        labels = day_sequence()
+        assert 2_900 <= len(runs(labels)) <= 3_100
+        assert smooth_with_trace(labels) == oracles.o_smooth_with_trace(labels)
+
+    def test_day_sequence_in_linear_time(self):
+        # A pass that re-derives the runs after every merge takes seconds on
+        # this sequence; one sweep of the run list per pass, milliseconds.
+        labels = day_sequence()
+        start = time.perf_counter()
+        smooth_with_trace(labels)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestFinalLabel:
