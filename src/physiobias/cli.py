@@ -12,9 +12,9 @@ into one `error: <reason>` line and exit 2. `extract` skips a session whose
 own files or signals raise PhysioBiasError, with a
 `skipping <session>: <reason>` line.
 `extract` also writes extract_diagnostics.json (per session: EDA solver
-convergence, iterations, residual RMS and window count) and warns on stderr
-about each session whose decomposition stopped at its iteration cap; such a
-session is kept, so the warning does not change the exit code.
+convergence, iterations, KKT residual, residual RMS and window count) and
+warns on stderr about each session whose decomposition did not converge;
+such a session is kept, so the warning does not change the exit code.
 """
 from __future__ import annotations
 
@@ -56,7 +56,8 @@ def _add_decomp_flags(p: argparse.ArgumentParser) -> None:
                    help="l1 weight on the EDA driver")
     p.add_argument("--decomp-gamma", type=float, default=DecompParams.gamma,
                    help="l2 weight on spline coefficients")
-    p.add_argument("--decomp-tol", type=float, default=DecompParams.tol)
+    p.add_argument("--decomp-tol", type=float, default=DecompParams.tol,
+                   help="stop the EDA solve when max |gradient mapping| <= tol * alpha")
     p.add_argument("--decomp-max-iter", type=int, default=DecompParams.max_iter)
 
 
@@ -172,6 +173,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 "participant": session.participant_id,
                 "converged": components.converged,
                 "iterations": components.iterations,
+                "kkt_residual": components.kkt_residual,
                 "residual_rms": components.residual_rms,
                 "windows": len(matrix),
             })

@@ -66,9 +66,11 @@ class Dataset:
         if meta is not None:
             lines.append("# " + json.dumps(meta, sort_keys=True))
         lines.append(",".join(["participant_id", "window_index", "label"] + self.column_names))
-        for i in range(self.n_rows):
-            cells = [str(self.participant_ids[i]), str(int(self.window_indices[i])), str(int(self.y[i]))]
-            cells += ["" if np.isnan(v) else repr(float(v)) for v in self.X[i]]
+        for pid, window, label, row in zip(
+            self.participant_ids, self.window_indices.tolist(), self.y.tolist(), self.X.tolist()
+        ):
+            cells = [str(pid), str(window), str(label)]
+            cells += ["" if v != v else repr(v) for v in row]
             lines.append(",".join(cells))
         path.write_text("\n".join(lines) + "\n")
 

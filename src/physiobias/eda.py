@@ -15,21 +15,37 @@ and recovered by solving the convex program
                +  0.5*gamma*||c||^2
     subject to r >= 0.
 
-The solver is an accelerated proximal-gradient iteration with a descent
-safeguard, so the recorded objective is non-increasing. The driver is
-discretized at the EDA rate and the kernel is `phasic_kernel`, truncated
-at 40 s of support.
+Reduced problem (variable projection, Golub & Pereyra, Inverse Problems
+2003): for a fixed driver r the optimal tonic coefficients (c, d) solve one
+linear system, [B'B + gamma*I, B'D; D'B, D'D] [c; d] = [B'z; D'z] with
+z = y - K r. B'B + gamma*I has 7 diagonals; its banded Cholesky factor is
+computed once, and a 2 x 2 Schur complement eliminates the trend d. So the
+solver iterates on r alone, over phi(r) + alpha*sum(r), where phi(r) is the
+smooth part minimized over (c, d). The gradient of phi is K' e, with e the
+residual K r + B c + D d - y at the optimal (c, d).
 
-Cost: B is kept as a sparse matrix (at most four nonzeros per row), so
-memory is linear in the session length n. Each point carries its residual
-e = K r + B c + D d - y: a step computes the gradient from the residual it
-starts from (one convolution, one sparse product) and the new point's
-residual (one convolution, one sparse product), and the objective reuses
-that residual. The extrapolated point's residual is the same combination of
-the two residuals it extrapolates from, because e is affine in (r, c, d).
-So an iteration costs two O(n * kernel length) convolutions and two O(n)
-sparse products; a fallback step adds the same again. K r stays a direct
-convolution of the non-negative driver, so phasic = K r is never negative.
+Step: the Hessian of phi is K' P K with P a contraction, and the kernel h is
+non-negative, so ||K||_2 <= sum(h) and the step 1/sum(h)^2 is safe.
+
+Iteration: accelerated proximal gradient (FISTA) with a descent safeguard,
+so the recorded objective is non-increasing, and gradient-based adaptive
+restart (O'Donoghue & Candes, FoCM 2015): momentum resets whenever
+(v - r+) . (r+ - r) > 0, v being the extrapolated point and r+ the new one.
+
+Stop: when the infinity norm of the gradient mapping at the extrapolated
+point, sum(h)^2 * (v - r+), is at most tol * alpha. That mapping plus the
+gradient's change from v to r+ is a subgradient of the objective at r+, and
+that change is of the mapping's own size, so `converged` means near-optimal,
+not merely slow.
+
+Cost: B stays a sparse matrix (at most four nonzeros per row), so memory is
+linear in the session length n. The residual e is affine in r, so the
+extrapolated point's residual is the same combination of the two residuals
+it extrapolates from. An iteration costs two O(n * kernel length) direct
+convolutions (the gradient from the extrapolated residual, and K r+), two
+O(n) sparse products and one O(n) banded solve; a fallback step adds the
+same again. K r stays a direct convolution of the non-negative driver, so
+phasic = K r is never negative.
 """
 from __future__ import annotations
 
@@ -58,7 +74,7 @@ class DecompParams:
     knot_spacing: float = 10.0  # tonic spline knot spacing, s
     alpha: float = 8e-4         # l1 weight on the driver
     gamma: float = 1e-2         # l2 weight on the spline coefficients
-    tol: float = 1e-6           # relative objective change to stop
+    tol: float = 1e-2           # stop when max |gradient mapping| <= tol * alpha
     max_iter: int = 5000
 
     def __post_init__(self) -> None:
@@ -73,7 +89,9 @@ class DecompParams:
 @dataclass
 class EdaComponents:
     """Decomposition result. tonic + phasic + residual reproduces the input
-    elementwise; a non-converged solve is flagged, not failed."""
+    elementwise; a non-converged solve is flagged, not failed.
+    kkt_residual is the last step's max |gradient mapping| / alpha, at most
+    tol when converged."""
 
     tonic: Signal
     phasic: Signal
@@ -81,27 +99,23 @@ class EdaComponents:
     residual_rms: float
     converged: bool
     iterations: int
+    kkt_residual: float
     objective_trace: np.ndarray
 
 
-def bateman_kernel(tau0: float, tau1: float, rate: float, length: int) -> np.ndarray:
-    """Biexponential impulse response h(t) = exp(-t/tau0) - exp(-t/tau1),
-    evaluated on the sample grid and normalized to peak 1. h(0) = 0."""
-    if not (tau0 > tau1 > 0):
-        raise ParamError(f"need tau0 > tau1 > 0, got tau0={tau0}, tau1={tau1}")
+def phasic_kernel(rate: float, n: int) -> np.ndarray:
+    """Bateman impulse response h(t) = exp(-t/_TAU0) - exp(-t/_TAU1) on the
+    grid of rate Hz, cut to _KERNEL_SECONDS of support or to n samples, and
+    normalized to peak 1. h(0) = 0."""
+    length = min(n, int(round(_KERNEL_SECONDS * rate)))
     if rate <= 0 or length < 1:
         raise ParamError("rate must be > 0 and length >= 1")
     t = np.arange(length) / rate
-    h = np.exp(-t / tau0) - np.exp(-t / tau1)
+    h = np.exp(-t / _TAU0) - np.exp(-t / _TAU1)
     peak = h.max()
     if peak > 0:
         h = h / peak
     return h
-
-
-def phasic_kernel(rate: float, n: int) -> np.ndarray:
-    """The Bateman kernel at _TAU0, _TAU1 and rate Hz, cut to its support or to n samples."""
-    return bateman_kernel(_TAU0, _TAU1, rate, min(n, int(round(_KERNEL_SECONDS * rate))))
 
 
 def _spline_basis(n: int, rate: float, knot_spacing: float) -> csr_array:
@@ -118,30 +132,6 @@ def _spline_basis(n: int, rate: float, knot_spacing: float) -> csr_array:
     return BSpline.design_matrix(t, knots, 3)
 
 
-def _power_iteration_lipschitz(
-    conv: np.ndarray, B: csr_array, Bt: csr_array, D: np.ndarray, gamma: float, n: int,
-    iters: int = 60,
-) -> float:
-    """Largest eigenvalue of the Hessian of the smooth objective part."""
-    rng = np.random.default_rng(12345)
-    m, q = B.shape[1], D.shape[1]
-    x = rng.standard_normal(n + m + q)
-    x /= np.linalg.norm(x)
-    lam = 1.0
-    for _ in range(iters):
-        r, c, d = x[:n], x[n:n + m], x[n + m:]
-        fit = np.convolve(r, conv)[:n] + B @ c + D @ d
-        hr = np.convolve(fit[::-1], conv)[:n][::-1]
-        hc = Bt @ fit + gamma * c
-        hd = D.T @ fit
-        nxt = np.concatenate([hr, hc, hd])
-        lam = float(np.linalg.norm(nxt))
-        if lam == 0:
-            return 1.0
-        x = nxt / lam
-    return lam
-
-
 def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
     """Split a full-session EDA signal into tonic, phasic and driver parts.
 
@@ -152,6 +142,9 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
         ParamError: knot spacing shorter than one sample period.
         InsufficientData: signal shorter than 4 knot spacings.
     """
+    from scipy.linalg import cholesky_banded
+    from scipy.linalg.lapack import dpbtrs
+
     params = params or DecompParams()
     y = eda.samples
     n = y.size
@@ -174,74 +167,84 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
     # Affine trend with the time column normalized to [0, 1] for conditioning.
     D = np.column_stack([t / max(t[-1], 1.0), np.ones(n)])
     m = B.shape[1]
-
     alpha, gamma = params.alpha, params.gamma
 
-    def residual_at(r: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return np.convolve(r, h)[:n] + B @ c + D @ d - y
+    # B'B + gamma*I in upper banded storage (row 3 - k holds diagonal k),
+    # factored once; LAPACK's dpbtrs solves with the factor without
+    # cho_solve_banded's per-call input checks.
+    BtB = Bt @ B
+    bands = np.zeros((4, m))
+    for k in range(4):
+        bands[3 - k, k:] = BtB.diagonal(k)
+    bands[3] += gamma
+    factor = cholesky_banded(bands)
+    BtD = Bt @ D
+    U = dpbtrs(factor, BtD)[0]
+    schur_inv = np.linalg.inv(D.T @ D - BtD.T @ U)
+
+    def project(kr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The optimal (c, d) for the phasic part kr = K r, and the residual."""
+        z = y - kr
+        u = dpbtrs(factor, Bt @ z)[0]
+        d = schur_inv @ (D.T @ z - BtD.T @ u)
+        c = u - U @ d
+        return c, d, B @ c + D @ d - z
 
     def objective(r: np.ndarray, c: np.ndarray, e: np.ndarray) -> float:
         return float(0.5 * e @ e + alpha * r.sum() + 0.5 * gamma * c @ c)
 
-    L = _power_iteration_lipschitz(h, B, Bt, D, gamma, n) * 1.05
-    step = 1.0 / L
+    # ||K||_2 <= sum(h); a zero kernel (one sample) has zero gradient, so any
+    # step does.
+    L = float(h.sum()) ** 2 or 1.0
 
-    # Warm start: affine least-squares fit, no driver, no spline wiggle.
-    d0, *_ = np.linalg.lstsq(D, y, rcond=None)
+    def prox_step(v: np.ndarray, ev: np.ndarray):
+        """Proximal gradient step from v, whose residual is ev: the new
+        driver, its (c, d) and its residual."""
+        g = np.convolve(ev[::-1], h)[:n][::-1]
+        nr = np.maximum(v - (g + alpha) / L, 0.0)
+        return (nr, *project(np.convolve(nr, h)[:n]))
+
     r = np.zeros(n)
-    c = np.zeros(m)
-    d = d0.copy()
-    e = residual_at(r, c, d)
-    vr, vc, vd, ve = r.copy(), c.copy(), d.copy(), e.copy()
+    c, d, e = project(np.zeros(n))
+    v, ev = r, e
     t_acc = 1.0
-
     f_cur = objective(r, c, e)
     trace = [f_cur]
-    converged = False
+    gap = np.inf  # max |gradient mapping| / alpha of the last step
     iterations = 0
-
-    def prox_step(pr, pc, pd, pe):
-        """Proximal gradient step from a point whose residual is pe; returns
-        the new point and its residual (two convolutions in all)."""
-        gr = np.convolve(pe[::-1], h)[:n][::-1]
-        gc = Bt @ pe + gamma * pc
-        gd = D.T @ pe
-        nr = np.maximum(pr - step * (gr + alpha), 0.0)
-        nc = pc - step * gc
-        nd = pd - step * gd
-        return nr, nc, nd, residual_at(nr, nc, nd)
 
     for it in range(params.max_iter):
         iterations = it + 1
-        nr, nc, nd, ne = prox_step(vr, vc, vd, ve)
+        nr, nc, nd, ne = prox_step(v, ev)
         f_new = objective(nr, nc, ne)
         if f_new > f_cur:
             # Extrapolated step overshot: fall back to a plain step from the
             # current point, which cannot increase the objective for 1/L.
-            nr, nc, nd, ne = prox_step(r, c, d, e)
+            v, ev = r, e
+            nr, nc, nd, ne = prox_step(v, ev)
             f_new = objective(nr, nc, ne)
-            if f_new > f_cur:
-                # Numerical floor reached.
-                trace.append(f_cur)
-                converged = True
-                break
-            t_acc = 1.0  # restart momentum
+            t_acc = 1.0
+        # The gradient mapping of the step is L * (v - nr).
+        mapping = v - nr
+        gap = L * float(np.abs(mapping).max()) / alpha
+        if f_new > f_cur:
+            # Numerical floor reached: not even a plain step descends.
+            trace.append(f_cur)
+            break
+        if mapping @ (nr - r) > 0:
+            t_acc = 1.0  # adaptive restart: momentum points uphill
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         beta = (t_acc - 1.0) / t_next
-        vr = nr + beta * (nr - r)
-        vc = nc + beta * (nc - c)
-        vd = nd + beta * (nd - d)
-        # The residual is affine in (r, c, d), so the extrapolated point's
-        # residual follows from the two it extrapolates from.
-        ve = ne + beta * (ne - e)
+        v = nr + beta * (nr - r)
+        # The residual is affine in r, so the extrapolated point's residual
+        # follows from the two it extrapolates from.
+        ev = ne + beta * (ne - e)
         r, c, d, e = nr, nc, nd, ne
         t_acc = t_next
-        trace.append(f_new)
-        if abs(f_cur - f_new) <= params.tol * max(1.0, abs(f_cur)):
-            f_cur = f_new
-            converged = True
-            break
         f_cur = f_new
+        trace.append(f_new)
+        if gap <= params.tol:
+            break
 
     phasic = np.convolve(r, h)[:n]
     tonic = B @ c + D @ d
@@ -251,8 +254,9 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
         phasic=Signal(eda.start_time, rate, phasic),
         driver=Signal(eda.start_time, rate, r),
         residual_rms=float(np.sqrt(np.mean(residual * residual))),
-        converged=converged,
+        converged=bool(gap <= params.tol),
         iterations=iterations,
+        kkt_residual=float(gap),
         objective_trace=np.asarray(trace),
     )
 
@@ -268,6 +272,7 @@ def dump_components_csv(
     ])
     lines = [] if meta is None else [f"# {meta}"]
     lines.append("t,eda,tonic,phasic,driver")
-    lines += [",".join(repr(float(v)) for v in row) for row in cols]
+    cells = list(map(repr, cols.ravel().tolist()))
+    lines += map(",".join, zip(*(cells[j::5] for j in range(5))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

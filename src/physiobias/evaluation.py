@@ -4,7 +4,8 @@ Each fold holds out every window of one participant, balances the training
 rows with integer row weights (each minority-class window weighs one more
 for every time the seeded oversampling draw picks it), fits the boosted-tree
 model, predicts the held-out window sequence, smooths it, and takes the
-longest-run label as the participant verdict. The folds run one after
+longest-run label as the participant verdict, located in the third of the
+session where its mean window probability is highest. The folds run one after
 another in one process, and the feature matrix is sorted once per
 evaluation: every fold trains on the whole matrix, with the held-out
 participant at weight 0, and filters that one presort. Every class needs two
@@ -160,7 +161,7 @@ def _run_fold(
     predicted = [int(p >= 0.5) for p in probs]
     smoothed = smooth(predicted)
     verdict = final_label(smoothed)
-    location = majority_window_location(smoothed, verdict)
+    location = majority_window_location(probs, verdict)
     return FoldResult(
         participant=pid,
         truth=int(data.y[test_rows[0]]),

@@ -100,20 +100,30 @@ def final_label(labels: Sequence[int]) -> int:
     return 1
 
 
-def majority_window_location(labels: Sequence[int], verdict: int) -> str:
-    """Position (start/middle/end) of the longest run carrying the verdict
-    label, judged by the third of the sequence its midpoint falls in."""
-    rs = [r for r in runs(labels) if r.label == verdict]
-    if not rs:
-        raise ValueError("verdict label absent from the sequence")
-    longest = max(rs, key=lambda r: r.length)  # first one wins ties
-    midpoint = longest.start + (longest.length - 1) / 2.0
-    n = len(labels)
-    if midpoint < n / 3.0:
-        return "start"
-    if midpoint < 2.0 * n / 3.0:
-        return "middle"
-    return "end"
+def majority_window_location(probabilities: Sequence[float], verdict: int) -> str:
+    """Third of the sequence (start/middle/end) where the verdict label is
+    most probable: the one whose windows have the highest mean probability
+    of that label, window i falling in the third that i / n does. The first
+    third wins ties.
+
+    Read from the per-window probabilities, not from the smoothed labels:
+    smoothing turns most verdicts into one run over the whole session,
+    whose position says nothing about when the response occurred.
+
+    Raises:
+        ValueError: no window predicted with the verdict label (a
+            probability >= 0.5 for label 1, < 0.5 for label 0).
+    """
+    n = len(probabilities)
+    if not any(int(p >= 0.5) == verdict for p in probabilities):
+        raise ValueError("verdict label absent from the predictions")
+    sums, counts = [0.0, 0.0, 0.0], [0, 0, 0]
+    for i, p in enumerate(probabilities):
+        third = 0 if 3 * i < n else 1 if 3 * i < 2 * n else 2
+        sums[third] += p if verdict == 1 else 1.0 - p
+        counts[third] += 1
+    best = max((k for k in range(3) if counts[k]), key=lambda k: sums[k] / counts[k])
+    return ("start", "middle", "end")[best]
 
 
 def location_summary(

@@ -348,9 +348,11 @@ def o_decompose_dense(
     kernel_seconds: float = 40.0,
 ) -> dict:
     """Reference EDA deconvolution: the accelerated proximal-gradient solver
-    with a dense spline basis and the residual recomputed wherever it is
-    needed (three convolutions per step). Same model, step size, descent
-    safeguard and stopping rule as eda.decompose."""
+    on the full (r, c, d) system with a dense spline basis, the residual
+    recomputed wherever it is needed (three convolutions per step), a step
+    from 60 power iterations and a stop on a relative objective change of
+    tol. Same model and descent safeguard as eda.decompose, which solves the
+    reduced problem in r and stops on a KKT measure instead."""
     from scipy.interpolate import BSpline
 
     y = np.asarray(y, dtype=float)

@@ -14,7 +14,7 @@ import oracles
 from conftest import best_split, make_dataset, slice_features, tree_dict
 from physiobias import evaluation
 from physiobias.cli import main
-from physiobias.eda import DecompParams, bateman_kernel, decompose
+from physiobias.eda import DecompParams, decompose, phasic_kernel
 from physiobias.evaluation import lopo_folds, mann_whitney_u
 from physiobias.features import (
     RRSeries,
@@ -104,7 +104,7 @@ def test_criterion_2_eda_decomposition():
     # (b) planted single kernel pulse on a ramp at t = 30 s
     n = 480
     t = np.arange(n) / rate
-    kernel = bateman_kernel(2.0, 0.7, rate, 160)
+    kernel = phasic_kernel(rate, 160)
     driver = np.zeros(n)
     driver[120] = 1.0
     y = 2.0 + 0.004 * t + np.convolve(driver, kernel)[:n]

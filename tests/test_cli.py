@@ -179,9 +179,11 @@ class TestExtract:
         assert doc["meta"]["command"] == "extract"
         sessions = doc["sessions"]
         assert [s["participant"] for s in sessions] == [f"P{i:03d}" for i in range(1, 7)]
+        tol = doc["meta"]["config"]["decomposition"]["tol"]
         for s in sessions:
             assert s["converged"] is True
             assert 0 < s["iterations"] < 5000
+            assert 0.0 <= s["kkt_residual"] <= tol
             assert s["residual_rms"] >= 0.0
             assert s["windows"] == 12
 
@@ -192,8 +194,11 @@ class TestExtract:
         for i in range(1, 7):
             assert f"warning: P{i:03d}: EDA decomposition did not converge in 5 iterations" in err
         assert "skipping" not in err
-        sessions = json.loads((tmp_path / "extract_diagnostics.json").read_text())["sessions"]
+        doc = json.loads((tmp_path / "extract_diagnostics.json").read_text())
+        sessions = doc["sessions"]
         assert [(s["converged"], s["iterations"]) for s in sessions] == [(False, 5)] * 6
+        tol = doc["meta"]["config"]["decomposition"]["tol"]
+        assert all(s["kkt_residual"] > tol for s in sessions)
         assert from_csv(tmp_path / "features.csv").n_rows == 6 * 12
 
     def test_invalid_solver_flag_is_fatal_with_reason(self, corpus, tmp_path, capsys):

@@ -158,23 +158,36 @@ class TestFinalLabel:
 
 class TestMajorityWindowLocation:
     def test_end(self):
-        labels = [0] * 85 + [1] * 10 + [0] * 5
-        assert majority_window_location(labels, 1) == "end"
-
-    def test_whole_sequence_is_middle(self):
-        assert majority_window_location([1] * 100, 1) == "middle"
+        probs = [0.2] * 85 + [0.9] * 10 + [0.2] * 5
+        assert majority_window_location(probs, 1) == "end"
 
     def test_start(self):
-        labels = [1] * 10 + [0] * 90
-        assert majority_window_location(labels, 1) == "start"
+        probs = [0.9] * 10 + [0.2] * 90
+        assert majority_window_location(probs, 1) == "start"
 
     def test_verdict_absent(self):
         with pytest.raises(ValueError):
-            majority_window_location([0, 0, 0], 1)
+            majority_window_location([0.1, 0.2, 0.3], 1)
+        with pytest.raises(ValueError):
+            majority_window_location([0.5, 0.9], 0)
 
-    def test_first_longest_run_wins_ties(self):
-        labels = [1, 1, 0, 1, 1]  # two 1-runs of length 2: first one decides
-        assert majority_window_location(labels, 1) == "start"
+    def test_rise_inside_an_all_verdict_sequence(self):
+        # every window is flagged, so one smoothed run spans the sequence;
+        # the probabilities still place the response at the end
+        probs = [0.6] * 40 + [0.7] * 30 + [0.95] * 30
+        assert majority_window_location(probs, 1) == "end"
+
+    def test_verdict_zero_reads_the_complement(self):
+        probs = [0.4] * 20 + [0.05] * 20 + [0.4] * 20
+        assert majority_window_location(probs, 0) == "middle"
+
+    def test_first_third_wins_ties(self):
+        assert majority_window_location([0.8] * 9, 1) == "start"
+        assert majority_window_location([0.2, 0.8, 0.2, 0.2, 0.8, 0.2], 1) == "start"
+
+    def test_short_sequences_skip_empty_thirds(self):
+        assert majority_window_location([0.7], 1) == "start"
+        assert majority_window_location([0.6, 0.9], 1) == "middle"
 
 
 class TestLocationSummary:
