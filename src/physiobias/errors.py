@@ -11,7 +11,8 @@ class PhysioBiasError(Exception):
 
 
 class ParseError(PhysioBiasError):
-    """Malformed E4 CSV content (bad header or non-numeric row)."""
+    """Unreadable or malformed input file: an E4 channel, labels.csv,
+    features.csv, a `smooth` sequence or a report.json."""
 
 
 class EmptySignal(ParseError):
@@ -19,7 +20,9 @@ class EmptySignal(ParseError):
 
 
 class LabelError(PhysioBiasError):
-    """Unknown IAT category, or a participant without a label."""
+    """Bad label: an unknown IAT category, a participant with no label or
+    two in labels.csv, or features.csv windows of one participant with
+    mixed labels or a label other than 0 or 1."""
 
 
 class BadParticipantId(PhysioBiasError):

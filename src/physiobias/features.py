@@ -20,7 +20,6 @@ Conventions (pinned so the brute-force oracle can match exactly):
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,24 +50,6 @@ RR_MAX_MS = 2000.0
 # Peaks closer than this to an accepted peak are rejected.
 BEAT_REFRACTORY_SECONDS = 0.3
 BEAT_THRESHOLD_FRACTION = 0.3
-
-
-@dataclass
-class RRSeries:
-    """Inter-beat intervals (ms) and the peaks they came from."""
-
-    intervals: np.ndarray = field(default_factory=lambda: np.empty(0))
-    peak_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    peak_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self) -> None:
-        self.intervals = np.asarray(self.intervals, dtype=float)
-        self.peak_indices = np.asarray(self.peak_indices, dtype=int)
-        self.peak_values = np.asarray(self.peak_values, dtype=float)
-        if self.intervals.size and (
-            self.intervals.min() < RR_MIN_MS or self.intervals.max() > RR_MAX_MS
-        ):
-            raise ValueError("intervals outside the physiological gate")
 
 
 def _peak_mask(x: np.ndarray) -> np.ndarray:
@@ -138,13 +119,14 @@ def eda_extra_columns(X: np.ndarray, rate: float) -> np.ndarray:
     return np.column_stack([np.trapezoid(X, dx=1.0 / rate, axis=1), max_peak])
 
 
-def detect_beats(bvp: np.ndarray, rate: float) -> RRSeries:
-    """Detect heartbeats in a BVP slice and return gated RR intervals.
+def detect_beats(bvp: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Detect heartbeats in a BVP slice: (peak indices, gated RR intervals
+    in ms).
 
     Peaks are strict local maxima above mean + 0.3*(max - mean), kept only
     if at least 0.3 s after the last accepted peak. Successive peak gaps
     outside [300, 2000] ms are dropped. Fewer than two accepted peaks yield
-    an empty interval series.
+    no intervals.
     """
     bvp = np.asarray(bvp, dtype=float)
     if rate < 32:
@@ -158,11 +140,8 @@ def detect_beats(bvp: np.ndarray, rate: float) -> RRSeries:
         if not accepted or (i - accepted[-1]) / rate >= BEAT_REFRACTORY_SECONDS:
             accepted.append(i)
     peaks = np.asarray(accepted, dtype=int)
-    if peaks.size < 2:
-        return RRSeries(peak_indices=peaks, peak_values=bvp[peaks] if peaks.size else np.empty(0))
     rr = np.diff(peaks) / rate * 1000.0
-    rr = rr[(rr >= RR_MIN_MS) & (rr <= RR_MAX_MS)]
-    return RRSeries(intervals=rr, peak_indices=peaks, peak_values=bvp[peaks])
+    return peaks, rr[(rr >= RR_MIN_MS) & (rr <= RR_MAX_MS)]
 
 
 def _breathing_rate(intervals: np.ndarray) -> float:
@@ -187,17 +166,19 @@ def _breathing_rate(intervals: np.ndarray) -> float:
     return float(60.0 * freqs[band][np.argmax(spectrum[band])])
 
 
-def hrv_features(rr: RRSeries) -> dict[str, float]:
-    """Heart-rate-variability features from one window's RR series.
+def hrv_features(intervals: np.ndarray, peak_values: np.ndarray) -> dict[str, float]:
+    """Heart-rate-variability features from one window's RR intervals (ms)
+    and the values of its beat peaks.
 
     mean_peak needs one peak; sdnn/hr_mad need two intervals; the
     successive-difference features need three; breathingrate needs four.
     Anything below its requirement is NaN.
     """
     out = {name: np.nan for name in BEAT_FEATURES}
-    if rr.peak_values.size >= 1:
-        out["mean_peak"] = float(rr.peak_values.mean())
-    iv = rr.intervals
+    peak_values = np.asarray(peak_values, dtype=float)
+    if peak_values.size >= 1:
+        out["mean_peak"] = float(peak_values.mean())
+    iv = np.asarray(intervals, dtype=float)
     if iv.size >= 2:
         out["sdnn"] = float(iv.std())
         med = float(np.median(iv))
@@ -221,7 +202,8 @@ def hrv_features(rr: RRSeries) -> dict[str, float]:
 def beat_columns(X: np.ndarray, rate: float) -> np.ndarray:
     """Beat-derived features of each row of a BVP matrix, (n, 9) in
     BEAT_FEATURES order; detection runs row by row."""
-    rows = [list(hrv_features(detect_beats(x, rate)).values()) for x in X]
+    beats = (detect_beats(x, rate) for x in X)
+    rows = [list(hrv_features(rr, x[peaks]).values()) for x, (peaks, rr) in zip(X, beats)]
     return np.asarray(rows, dtype=float).reshape(len(rows), len(BEAT_FEATURES))
 
 

@@ -20,7 +20,7 @@ from .errors import (
     MissingChannel,
     ParseError,
 )
-from .signals import Signal, TriaxialSignal
+from .signals import Signal
 
 # Empatica convention; the device stores acceleration as signed counts.
 ACC_COUNTS_PER_G = 64.0
@@ -75,7 +75,7 @@ class RawSession:
     bvp: Signal
     hr: Signal
     skt: Signal
-    acc: TriaxialSignal
+    acc: Signal  # (N, 3) rows of (x, y, z) in g
     label: int  # 1 biased, 0 unbiased
 
 
@@ -94,7 +94,7 @@ def _parse_header_line(line: str, path: Path, lineno: int, ncols: int) -> float:
     return values[0]
 
 
-def parse_e4_csv(path: str | Path, channel: str) -> Signal | TriaxialSignal:
+def parse_e4_csv(path: str | Path, channel: str) -> Signal:
     """Parse one E4 channel file.
 
     Args:
@@ -102,8 +102,8 @@ def parse_e4_csv(path: str | Path, channel: str) -> Signal | TriaxialSignal:
         channel: one of EDA, BVP, HR, TEMP, ACC (case-insensitive).
 
     Returns:
-        Signal for single-column channels, TriaxialSignal for ACC (in g:
-        counts divided by ACC_COUNTS_PER_G).
+        Signal with (N,) samples, or (N, 3) for ACC (in g: counts divided by
+        ACC_COUNTS_PER_G).
 
     Raises:
         ParseError: unreadable or undecodable file, malformed header,
@@ -159,26 +159,23 @@ def parse_e4_csv(path: str | Path, channel: str) -> Signal | TriaxialSignal:
             raise ParseError(f"{path}:{lineno}: non-finite {channel} sample")
         raise ParseError(f"{path}:{lineno}: {channel} sample {value:g} {unit} is outside "
                          f"the plausible range [{lo:g}, {hi:g}] {unit}")
-    if channel == "ACC":
-        return TriaxialSignal(start_time=start_time, rate=rate, samples=data)
-    return Signal(start_time=start_time, rate=rate, samples=data[:, 0])
+    return Signal(start_time=start_time, rate=rate, samples=data if ncols == 3 else data[:, 0])
 
 
-def write_e4_csv(signal: Signal | TriaxialSignal, path: str | Path) -> None:
+def write_e4_csv(signal: Signal, path: str | Path) -> None:
     """Write a signal back to E4 CSV layout (inverse of parse_e4_csv).
 
     Every sample is written as its shortest round-tripping repr, formatted
     and joined by C-level map/join over WRITE_BLOCK_ROWS rows at a time, so
     the transient memory stays bounded whatever the session length."""
-    acc = isinstance(signal, TriaxialSignal)
-    ncols = 3 if acc else 1
     samples = signal.samples
+    ncols = 3 if samples.ndim == 2 else 1
     with Path(path).open("w") as fh:
         fh.write(",".join([repr(float(signal.start_time))] * ncols) + "\n")
         fh.write(",".join([repr(float(signal.rate))] * ncols) + "\n")
         for start in range(0, samples.shape[0], WRITE_BLOCK_ROWS):
             block = samples[start:start + WRITE_BLOCK_ROWS]
-            if acc:
+            if ncols == 3:
                 cells = list(map(repr, (block * ACC_COUNTS_PER_G).ravel().tolist()))
                 lines = map(",".join, zip(cells[0::3], cells[1::3], cells[2::3]))
             else:
@@ -235,15 +232,14 @@ def load_labels(path: str | Path) -> dict[str, int]:
     return labels
 
 
-def _trim(sig: Signal | TriaxialSignal, t0: float, t1: float) -> Signal | TriaxialSignal:
+def _trim(sig: Signal, t0: float, t1: float) -> Signal:
     """Trim to samples whose timestamps lie in [t0, t1)."""
     n = sig.samples.shape[0]
     i0 = max(0, int(np.ceil((t0 - sig.start_time) * sig.rate - 1e-9)))
     i1 = min(n, int(np.ceil((t1 - sig.start_time) * sig.rate - 1e-9)))
     if i1 <= i0:
         raise InsufficientData("signal does not overlap the common interval")
-    cls = type(sig)
-    return cls(
+    return Signal(
         start_time=sig.start_time + i0 / sig.rate,
         rate=sig.rate,
         samples=sig.samples[i0:i1],
@@ -277,7 +273,7 @@ def assemble_session(
     if participant_id not in labels:
         raise LabelError(f"no label for participant {participant_id!r}")
 
-    parsed: dict[str, Signal | TriaxialSignal] = {}
+    parsed: dict[str, Signal] = {}
     for name, filename in CHANNEL_FILES.items():
         fpath = session_dir / filename
         if not fpath.exists():

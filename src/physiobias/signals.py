@@ -1,12 +1,12 @@
 """Signal containers, accelerometer magnitude, and fixed-length windowing.
 
 Every channel is carried as a :class:`Signal` (uniform rate, absolute start
-time) whose samples are finite and below MAX_ABS_SAMPLE in magnitude. Below
-that bound, fourth powers (kurtosis) and their sums over a window stay
-finite. Windowing cuts an aligned multi-channel session into contiguous,
-non-overlapping windows, one (n_windows, samples per window) matrix per
-channel whose row k is window k; a trailing partial window is discarded,
-never padded.
+time) whose samples are finite and below MAX_ABS_SAMPLE in magnitude; the
+accelerometer's samples are (N, 3) rows. Below that bound, fourth powers
+(kurtosis) and their sums over a window stay finite. Windowing cuts an
+aligned multi-channel session into contiguous, non-overlapping windows, one
+(n_windows, samples per window) matrix per channel whose row k is window k;
+a trailing partial window is discarded, never padded.
 """
 from __future__ import annotations
 
@@ -21,13 +21,6 @@ DEFAULT_WINDOW_SECONDS = 5.0
 MAX_ABS_SAMPLE = 1e75
 
 
-def _check_samples(samples: np.ndarray, bound: float) -> None:
-    """Raise SignalError unless every sample is finite and below bound in
-    magnitude (a NaN fails both comparisons)."""
-    if not -bound < samples.min() <= samples.max() < bound:
-        raise SignalError(f"samples must be finite and below {bound:g} in magnitude")
-
-
 @dataclass
 class Signal:
     """Uniformly sampled series.
@@ -35,8 +28,9 @@ class Signal:
     Args:
         start_time: unix seconds of the first sample.
         rate: sampling rate in Hz, > 0.
-        samples: 1-D array of values below MAX_ABS_SAMPLE in magnitude
-            (channel-specific units).
+        samples: (N,) array of values below MAX_ABS_SAMPLE in magnitude
+            (channel-specific units), or (N, 3) rows of accelerometer
+            (x, y, z) in g.
     """
 
     start_time: float
@@ -47,36 +41,15 @@ class Signal:
         self.samples = np.asarray(self.samples, dtype=float)
         if not self.rate > 0:
             raise SignalError(f"rate must be > 0, got {self.rate}")
-        if self.samples.ndim != 1 or self.samples.size < 1:
-            raise SignalError("samples must be a non-empty 1-D array")
-        _check_samples(self.samples, MAX_ABS_SAMPLE)
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.rate
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
-
-@dataclass
-class TriaxialSignal:
-    """Accelerometer stream: rows of (x, y, z) in g at a uniform rate."""
-
-    start_time: float
-    rate: float
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=float)
-        if not self.rate > 0:
-            raise SignalError(f"rate must be > 0, got {self.rate}")
-        if self.samples.ndim != 2 or self.samples.shape[1] != 3 or self.samples.shape[0] < 1:
-            raise SignalError("samples must be a non-empty (N, 3) array")
+        triaxial = self.samples.shape[1:] == (3,)
+        if not (self.samples.ndim == 1 or triaxial) or self.samples.size < 1:
+            raise SignalError("samples must be a non-empty (N,) or (N, 3) array")
         # Half the bound per axis keeps every row's norm (at most sqrt(3)
         # times its largest axis) below it, so magnitude() is a valid Signal.
-        _check_samples(self.samples, MAX_ABS_SAMPLE / 2)
+        bound = MAX_ABS_SAMPLE / 2 if triaxial else MAX_ABS_SAMPLE
+        # A NaN fails both comparisons.
+        if not -bound < self.samples.min() <= self.samples.max() < bound:
+            raise SignalError(f"samples must be finite and below {bound:g} in magnitude")
 
     @property
     def duration(self) -> float:
@@ -87,8 +60,8 @@ class TriaxialSignal:
         return self.start_time + self.duration
 
 
-def magnitude(acc: TriaxialSignal) -> Signal:
-    """Per-sample Euclidean norm of the three acceleration axes."""
+def magnitude(acc: Signal) -> Signal:
+    """Per-sample Euclidean norm of an (N, 3) signal's acceleration axes."""
     mag = np.sqrt(np.sum(acc.samples * acc.samples, axis=1))
     return Signal(start_time=acc.start_time, rate=acc.rate, samples=mag)
 

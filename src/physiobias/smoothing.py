@@ -14,30 +14,16 @@ and the canonical trace 1101 -> 1111 could never happen.)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class RunBlock:
-    """Maximal streak of one label: [start, start + length)."""
-
-    label: int
-    start: int
-    length: int
-
-
-def runs(labels: Sequence[int]) -> list[RunBlock]:
-    """Run-length decomposition; runs tile the sequence exactly."""
+def runs(labels: Sequence[int]) -> list[tuple[int, int]]:
+    """Run-length decomposition into maximal (label, length) streaks, which
+    tile the sequence exactly."""
     if len(labels) == 0:
         raise ValueError("empty label sequence")
-    out: list[RunBlock] = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            out.append(RunBlock(label=int(labels[start]), start=start, length=i - start))
-            start = i
-    return out
+    return [(int(label), len(list(streak))) for label, streak in groupby(labels)]
 
 
 def _format_runs(rs: list[tuple[int, int]]) -> str:
@@ -49,7 +35,7 @@ def smooth_with_trace(labels: Sequence[int]) -> tuple[list[int], list[str]]:
 
     Each pass sweeps the run list once. With 0/1 labels pass k leaves no run
     of length k or less, so the whole smooth costs O(n)."""
-    rs = [(r.label, r.length) for r in runs([int(v) for v in labels])]
+    rs = runs([int(v) for v in labels])
     original_mean = len(labels) / len(rs)
     trace = [f"original: {_format_runs(rs)}"]
 
@@ -87,8 +73,8 @@ def final_label(labels: Sequence[int]) -> int:
     """Label of the longest run. A cross-label tie goes to the label with
     the larger total count in the sequence, then to label 1."""
     rs = runs(labels)
-    longest = max(r.length for r in rs)
-    top_labels = {r.label for r in rs if r.length == longest}
+    longest = max(length for _, length in rs)
+    top_labels = {label for label, length in rs if length == longest}
     if len(top_labels) == 1:
         return top_labels.pop()
     ones = sum(1 for v in labels if v == 1)

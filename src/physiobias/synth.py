@@ -23,8 +23,8 @@ import numpy as np
 
 from .eda import phasic_kernel
 from .errors import ParamError
-from .ingest import ACC_COUNTS_PER_G, IAT_CATEGORIES, PLAUSIBLE_RANGES, write_e4_csv
-from .signals import Signal, TriaxialSignal
+from .ingest import ACC_COUNTS_PER_G, CHANNEL_FILES, IAT_CATEGORIES, PLAUSIBLE_RANGES, write_e4_csv
+from .signals import Signal
 
 RATES = {"eda": 4.0, "bvp": 64.0, "hr": 1.0, "skt": 4.0, "acc": 32.0}
 
@@ -181,20 +181,16 @@ def _write_session(sessions_dir: Path, params: SynthParams, idx: int,
     def n_samples(channel: str) -> int:
         return int(round((params.session_seconds + pad) * RATES[channel]))
 
-    eda = _gen_eda(rng, params, biased, n_samples("eda"))
-    bvp = _gen_bvp(rng, n_samples("bvp"), heart_hz)
-    hr = _gen_hr(rng, n_samples("hr"), heart_hz)
-    skt = _gen_skt(rng, n_samples("skt"))
-    acc_counts = _gen_acc_counts(rng, n_samples("acc"))
-
-    write_e4_csv(Signal(base_start + offsets["eda"], RATES["eda"], eda), session / "EDA.csv")
-    write_e4_csv(Signal(base_start + offsets["bvp"], RATES["bvp"], bvp), session / "BVP.csv")
-    write_e4_csv(Signal(base_start + offsets["hr"], RATES["hr"], hr), session / "HR.csv")
-    write_e4_csv(Signal(base_start + offsets["skt"], RATES["skt"], skt), session / "TEMP.csv")
-    write_e4_csv(
-        TriaxialSignal(base_start + offsets["acc"], RATES["acc"], acc_counts / ACC_COUNTS_PER_G),
-        session / "ACC.csv",
-    )
+    samples = {  # drawn in this order from rng
+        "eda": _gen_eda(rng, params, biased, n_samples("eda")),
+        "bvp": _gen_bvp(rng, n_samples("bvp"), heart_hz),
+        "hr": _gen_hr(rng, n_samples("hr"), heart_hz),
+        "skt": _gen_skt(rng, n_samples("skt")),
+        "acc": _gen_acc_counts(rng, n_samples("acc")) / ACC_COUNTS_PER_G,
+    }
+    for name, filename in CHANNEL_FILES.items():
+        write_e4_csv(Signal(base_start + offsets[name], RATES[name], samples[name]),
+                     session / filename)
     return pid, category_pool[idx % len(category_pool)]
 
 

@@ -171,11 +171,16 @@ class TestExtract:
         assert set(data.participant_ids) == {f"P{i:03d}" for i in range(2, 7)}
 
     def test_diagnostics_sidecar_is_deterministic(self, corpus, tmp_path):
-        assert run_extract(corpus, tmp_path / "a") == 0
-        assert run_extract(corpus, tmp_path / "b") == 0
-        raw = (tmp_path / "a" / "extract_diagnostics.json").read_bytes()
-        assert raw == (tmp_path / "b" / "extract_diagnostics.json").read_bytes()
-        doc = json.loads(raw)
+        outputs = []
+        for root in (tmp_path / "a", tmp_path / "b"):
+            assert run_extract(corpus, root, ("--debug-eda",)) == 0
+            outputs.append({p.relative_to(root).as_posix(): p.read_bytes()
+                            for p in root.rglob("*") if p.is_file()})
+        # every output file, byte for byte: the README promises identical reruns
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0]) == [f"eda_debug/P{i:03d}.csv" for i in range(1, 7)] + [
+            "extract_diagnostics.json", "features.csv"]
+        doc = json.loads(outputs[0]["extract_diagnostics.json"])
         assert doc["meta"]["command"] == "extract"
         sessions = doc["sessions"]
         assert [s["participant"] for s in sessions] == [f"P{i:03d}" for i in range(1, 7)]

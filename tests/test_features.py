@@ -14,7 +14,6 @@ from physiobias.features import (
     EXTRA_SIGNALS,
     FEATURE_COLUMNS,
     FEATURE_SIGNALS,
-    RRSeries,
     build_feature_matrix,
     detect_beats,
     eda_extra_columns,
@@ -128,27 +127,27 @@ class TestEdaExtraFeatures:
 class TestDetectBeats:
     def test_sinusoid_beats(self):
         t = np.arange(320) / 64.0
-        rr = detect_beats(np.sin(2 * np.pi * 1.2 * t), 64.0)
-        assert rr.peak_indices.size in (5, 6)
+        peaks, rr = detect_beats(np.sin(2 * np.pi * 1.2 * t), 64.0)
+        assert peaks.size in (5, 6)
         # generator period is 1/1.2 s ~ 833 ms; grid quantization allows ~2%
-        assert np.all(np.abs(rr.intervals - 833.3) < 20.0)
+        assert np.all(np.abs(rr - 833.3) < 20.0)
 
     def test_flat_slice(self):
-        rr = detect_beats(np.zeros(320), 64.0)
-        assert rr.intervals.size == 0
-        assert rr.peak_indices.size == 0
+        peaks, rr = detect_beats(np.zeros(320), 64.0)
+        assert rr.size == 0
+        assert peaks.size == 0
 
     def test_refractory_rejects_close_spike(self):
         t = np.arange(320) / 64.0
         x = np.sin(2 * np.pi * 1.2 * t)
-        clean = detect_beats(x, 64.0)
-        true_peak = int(clean.peak_indices[1])
+        clean, _ = detect_beats(x, 64.0)
+        true_peak = int(clean[1])
         spiked = x.copy()
         spike_at = true_peak + 6  # 0.094 s later, inside the 0.3 s refractory
         spiked[spike_at] += 1.5
-        rr = detect_beats(spiked, 64.0)
-        assert true_peak in rr.peak_indices
-        assert spike_at not in rr.peak_indices
+        peaks, _ = detect_beats(spiked, 64.0)
+        assert true_peak in peaks
+        assert spike_at not in peaks
 
     def test_rate_gate(self):
         with pytest.raises(InsufficientData):
@@ -163,15 +162,14 @@ class TestDetectBeats:
         # refractory rule already rejects the second; build 2.5 s gaps instead
         x = np.zeros(640)
         x[[100, 260, 600]] = 1.0  # gaps 2500 ms (gated out) and 5312 ms
-        rr = detect_beats(x, 64.0)
-        assert rr.peak_indices.size == 3
-        assert rr.intervals.size == 0  # all gaps outside [300, 2000] ms
+        peaks, rr = detect_beats(x, 64.0)
+        assert peaks.size == 3
+        assert rr.size == 0  # all gaps outside [300, 2000] ms
 
 
 class TestHrvFeatures:
     def test_hand_example(self):
-        rr = RRSeries(intervals=[800.0, 810.0, 790.0], peak_values=[1.0, 2.0, 3.0, 2.0])
-        out = hrv_features(rr)
+        out = hrv_features([800.0, 810.0, 790.0], [1.0, 2.0, 3.0, 2.0])
         assert out["sdnn"] == pytest.approx(8.16496580927726)
         assert out["rmssd"] == pytest.approx(math.sqrt((10 ** 2 + 20 ** 2) / 2.0))
         assert out["hr_mad"] == 10.0
@@ -179,40 +177,38 @@ class TestHrvFeatures:
 
     def test_pnn_strict_inequality(self):
         # successive differences 10, -20, 60: only |60| clears both gates
-        rr = RRSeries(intervals=[800.0, 810.0, 790.0, 850.0])
-        out = hrv_features(rr)
+        out = hrv_features([800.0, 810.0, 790.0, 850.0], [])
         assert out["pnn20"] == pytest.approx(1.0 / 3.0)
         assert out["pnn50"] == pytest.approx(1.0 / 3.0)
 
     def test_identical_intervals(self):
-        rr = RRSeries(intervals=[800.0] * 4)
-        out = hrv_features(rr)
+        out = hrv_features([800.0] * 4, [])
         assert out["sdnn"] == 0.0
         assert out["rmssd"] == 0.0
         assert np.isnan(out["sd1_sd2"])
 
     def test_empty_series_all_missing(self):
-        out = hrv_features(RRSeries())
+        out = hrv_features([], [])
         assert all(np.isnan(v) for v in out.values())
 
     def test_rmssd_sdsd_identity(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             iv = rng.uniform(400, 1500, rng.integers(3, 12))
-            out = hrv_features(RRSeries(intervals=iv))
+            out = hrv_features(iv, [])
             mean_diff = float(np.diff(iv).mean())
             assert out["rmssd"] ** 2 == pytest.approx(
                 out["sdsd"] ** 2 + mean_diff ** 2, rel=1e-9, abs=1e-9
             )
 
     def test_breathingrate_requires_four_intervals(self):
-        out = hrv_features(RRSeries(intervals=[800.0, 820.0, 780.0]))
+        out = hrv_features([800.0, 820.0, 780.0], [])
         assert np.isnan(out["breathingrate"])
 
     def test_breathingrate_in_band(self):
         rng = np.random.default_rng(9)
         iv = 800.0 + 60.0 * np.sin(np.arange(12) * 2.0) + rng.normal(0, 5, 12)
-        out = hrv_features(RRSeries(intervals=iv))
+        out = hrv_features(iv, [])
         assert 6.0 <= out["breathingrate"] <= 30.0  # 60 * [0.1, 0.5] Hz
 
 
@@ -244,7 +240,7 @@ class TestOracleEquivalence:
             m = int(rng.integers(2, 14))
             iv = rng.uniform(400, 1400, m)
             pv = rng.uniform(5, 60, m + 1)
-            got = hrv_features(RRSeries(intervals=iv, peak_values=pv))
+            got = hrv_features(iv, pv)
             want = oracles.o_hrv_features(list(iv), list(pv))
             for name, value in got.items():
                 if np.isnan(value) and np.isnan(want[name]):
@@ -259,10 +255,10 @@ class TestOracleEquivalence:
                 2 * np.pi * rng.uniform(0.8, 2.0) * np.arange(n) / 64.0
                 + rng.uniform(0, 6)
             ) + rng.normal(0, 0.3, n)
-            got = detect_beats(x, 64.0)
+            got_peaks, got_rr = detect_beats(x, 64.0)
             peaks, rr = oracles.o_detect_beats(list(x), 64.0)
-            assert list(got.peak_indices) == peaks
-            assert got.intervals == pytest.approx(rr, rel=1e-12)
+            assert list(got_peaks) == peaks
+            assert got_rr == pytest.approx(rr, rel=1e-12)
 
 
 RATES = {"eda": 4.0, "eda_tonic": 4.0, "eda_phasic": 4.0, "bvp": 64.0,
@@ -359,7 +355,8 @@ def per_slice_row(slices: dict[str, np.ndarray]) -> list[float]:
         if sig in AUC_SIGNALS:
             groups.append(slice_features(eda_extra_columns, x, rate))
         if sig == "bvp":
-            groups.append(hrv_features(detect_beats(x, rate)))
+            peaks, rr = detect_beats(x, rate)
+            groups.append(hrv_features(rr, x[peaks]))
         for group in groups:
             values.update({f"{sig}_{name}": v for name, v in group.items()})
     return [values[name] for name in FEATURE_COLUMNS]

@@ -5,7 +5,6 @@ from physiobias.errors import InsufficientData, ParamError, SignalError
 from physiobias.signals import (
     MAX_ABS_SAMPLE,
     Signal,
-    TriaxialSignal,
     magnitude,
     samples_per_window,
     window_matrices,
@@ -41,6 +40,15 @@ class TestSignal:
     def test_accepts_samples_below_the_bound(self):
         assert Signal(0.0, 4.0, np.array([-9.9e74, 9.9e74])).samples.max() == 9.9e74
 
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 3, 1), (0,), (0, 3)])
+    def test_rejects_shapes_other_than_a_series_or_xyz_rows(self, shape):
+        with pytest.raises(SignalError, match="non-empty"):
+            Signal(0.0, 4.0, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 3)])
+    def test_accepts_a_series_or_xyz_rows(self, shape):
+        assert Signal(0.0, 4.0, np.zeros(shape)).duration == 2.0  # rows, not cells
+
     def test_duration(self):
         s = Signal(10.0, 4.0, np.zeros(8))
         assert s.duration == 2.0
@@ -53,25 +61,25 @@ class TestMagnitude:
         [((3.0, 4.0, 0.0), 5.0), ((0.0, 0.0, 0.0), 0.0), ((1.0, 2.0, 2.0), 3.0)],
     )
     def test_known_triples(self, xyz, expected):
-        acc = TriaxialSignal(0.0, 32.0, np.array([xyz]))
+        acc = Signal(0.0, 32.0, np.array([xyz]))
         assert magnitude(acc).samples[0] == pytest.approx(expected, abs=0)
 
     def test_preserves_rate_and_start(self):
-        acc = TriaxialSignal(5.0, 32.0, np.ones((10, 3)))
+        acc = Signal(5.0, 32.0, np.ones((10, 3)))
         out = magnitude(acc)
         assert out.rate == 32.0 and out.start_time == 5.0
 
     def test_largest_accepted_axes_keep_the_norm_in_bounds(self):
         with pytest.raises(SignalError):
-            TriaxialSignal(0.0, 32.0, np.full((1, 3), MAX_ABS_SAMPLE / 2))
+            Signal(0.0, 32.0, np.full((1, 3), MAX_ABS_SAMPLE / 2))
         below = np.nextafter(MAX_ABS_SAMPLE / 2, 0)
-        mag = magnitude(TriaxialSignal(0.0, 32.0, np.full((2, 3), -below))).samples
+        mag = magnitude(Signal(0.0, 32.0, np.full((2, 3), -below))).samples
         assert np.all(mag < MAX_ABS_SAMPLE)
 
     def test_bounds(self):
         rng = np.random.default_rng(0)
         xyz = rng.normal(size=(50, 3))
-        mag = magnitude(TriaxialSignal(0.0, 32.0, xyz)).samples
+        mag = magnitude(Signal(0.0, 32.0, xyz)).samples
         assert np.all(mag >= np.abs(xyz).max(axis=1) - 1e-12)
         assert np.all(mag <= np.abs(xyz).sum(axis=1) + 1e-12)
 

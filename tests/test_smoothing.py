@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from physiobias.smoothing import (
-    RunBlock,
     final_label,
     location_summary,
     majority_window_location,
@@ -26,17 +25,12 @@ def seq(text: str) -> list[int]:
 class TestRuns:
     def test_decomposition(self):
         rs = runs(seq("110100"))
-        assert rs == [
-            RunBlock(1, 0, 2),
-            RunBlock(0, 2, 1),
-            RunBlock(1, 3, 1),
-            RunBlock(0, 4, 2),
-        ]
+        assert rs == [(1, 2), (0, 1), (1, 1), (0, 2)]
 
     def test_tiles_exactly(self):
         rs = runs(seq("0010111"))
-        assert sum(r.length for r in rs) == 7
-        assert all(a.label != b.label for a, b in zip(rs, rs[1:]))
+        assert sum(length for _, length in rs) == 7
+        assert all(a[0] != b[0] for a, b in zip(rs, rs[1:]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
