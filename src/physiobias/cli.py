@@ -31,7 +31,7 @@ from . import __version__
 from .dataset import Dataset, from_csv
 from .eda import DecompParams, dump_components_csv
 from .errors import NoSessions, ParamError, ParseError, PhysioBiasError
-from .evaluation import DEFAULT_SEED, DEFAULT_TOP_N, EvalReport, evaluate
+from .evaluation import DEFAULT_SEED, DEFAULT_TOP_N, evaluate
 from .features import build_feature_matrix, extract_session_features
 from .gbt import GbtParams
 from .ingest import MIN_SESSION_SECONDS, assemble_session, load_labels
@@ -206,26 +206,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_to_dict(report: EvalReport, meta: dict) -> dict:
-    # The folds are summarised below; asdict would deep-copy their arrays.
-    doc = dataclasses.asdict(dataclasses.replace(report, folds=[]))
-    doc["folds"] = [
-        {
-            "participant": f.participant,
-            "truth": f.truth,
-            "verdict": f.verdict,
-            "location": f.location,
-            "n_windows": len(f.predicted),
-            "predicted": "".join(map(str, f.predicted)),
-            "smoothed": "".join(map(str, f.smoothed)),
-            "mean_probability": float(np.mean(f.probabilities)),
-        }
-        for f in report.folds
-    ]
-    doc["meta"] = meta
-    return doc
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.folds_parallel != 1:
         raise ParamError(f"--folds-parallel must be 1 (folds run in one process), "
@@ -255,22 +235,23 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     }
     meta = _meta("evaluate", config)
     meta_line = "# " + json.dumps(meta, sort_keys=True)
-    doc = _report_to_dict(report, meta)
+    doc = {**report, "meta": meta}
     (args.out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     lines = [meta_line, "feature,fold_count"]
-    lines += [f"{name},{count}" for name, count in report.importance_counts.items()]
+    lines += [f"{name},{count}" for name, count in report["importance_counts"].items()]
     (args.out / "importance_counts.csv").write_text("\n".join(lines) + "\n")
 
     lines = [meta_line, "feature,u_statistic,p_value,n_biased,n_unbiased,all_tied"]
-    for s in report.group_stats:
-        lines.append(f"{s.feature},{s.u_statistic!r},{s.p_value!r},{s.n_biased},{s.n_unbiased},{s.all_tied}")
+    for s in report["group_stats"]:
+        lines.append(f"{s['feature']},{s['u_statistic']!r},{s['p_value']!r},"
+                     f"{s['n_biased']},{s['n_unbiased']},{s['all_tied']}")
     (args.out / "group_stats.csv").write_text("\n".join(lines) + "\n")
 
-    pm = report.participant_metrics
-    print(f"participants: {report.n_participants}  baseline: {report.baseline:.3f}")
-    print(f"accuracy: {pm.accuracy:.3f}  "
-          f"f1(biased): {pm.per_class[1].f1:.3f}  f1(unbiased): {pm.per_class[0].f1:.3f}")
+    pm = report["participant_metrics"]
+    print(f"participants: {report['n_participants']}  baseline: {report['baseline']:.3f}")
+    print(f"accuracy: {pm['accuracy']:.3f}  f1(biased): {pm['per_class']['1']['f1']:.3f}  "
+          f"f1(unbiased): {pm['per_class']['0']['f1']:.3f}")
     print(f"report: {args.out / 'report.json'}")
     return 0
 

@@ -6,7 +6,7 @@ through per-split default branches, so no imputation happens anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,18 +44,6 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
-
-    def participants(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for pid in self.participant_ids:
-            seen.setdefault(pid, None)
-        return sorted(seen)
-
-    def participant_label(self, pid: str) -> int:
-        rows = np.flatnonzero(self.participant_ids == pid)
-        if rows.size == 0:
-            raise KeyError(pid)
-        return int(self.y[rows[0]])
 
     def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
         """Write the matrix with a `participant_id,window_index,label,...`
@@ -110,11 +98,12 @@ def from_csv(path: str | Path) -> Dataset:
         for ln in lines[1:]:
             cells = ln.split(",")
             if len(cells) != len(header):
-                raise ParseError(f"{path}: row width {len(cells)} != header width {len(header)}")
+                raise ParseError(f"{path}: data row {len(rows) + 1}: row width {len(cells)} "
+                                 f"!= header width {len(header)}")
             label = int(cells[2])
             if label_of.setdefault(cells[0], label) != label:
-                raise LabelError(f"{path}: participant {cells[0]!r} has windows labelled "
-                                 f"{label_of[cells[0]]} and {label}")
+                raise LabelError(f"{path}: data row {len(rows) + 1}: participant {cells[0]!r} "
+                                 f"has windows labelled {label_of[cells[0]]} and {label}")
             window = (cells[0], int(cells[1]))
             if window in windows:
                 raise ParseError(f"{path}: data row {len(rows) + 1}: participant {cells[0]!r} "

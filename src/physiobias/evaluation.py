@@ -11,11 +11,15 @@ evaluation: every fold trains on the whole matrix, with the held-out
 participant at weight 0, and filters that one presort. Every class needs two
 participants, so that each fold trains on both classes. Reported metrics are
 participant-level; window-level metrics are kept as diagnostics.
+
+`evaluate` returns the report document itself: the dict that the CLI writes
+to report.json, apart from its `meta` key. The folds, the class count and
+the group statistics each code the participants with one `np.unique` over
+the row ids, in sorted id order.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,61 +33,11 @@ DEFAULT_SEED = 0
 DEFAULT_TOP_N = 20
 
 
-@dataclass
-class FoldResult:
-    """Outcome of one held-out participant."""
-
-    participant: str
-    truth: int
-    window_indices: np.ndarray
-    probabilities: np.ndarray
-    predicted: list[int]
-    smoothed: list[int]
-    verdict: int
-    location: str
-    importance: dict[str, float]
-
-
-@dataclass
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass
-class MetricSet:
-    accuracy: float
-    per_class: dict[int, ClassMetrics]
-    confusion: dict[str, int]  # tp/fp/tn/fn with class 1 as positive
-
-
-@dataclass
-class FeatureGroupStat:
-    """Mann-Whitney comparison of per-participant feature means."""
-
-    feature: str
-    u_statistic: float
-    p_value: float
-    n_biased: int
-    n_unbiased: int
-    all_tied: bool
-
-
-@dataclass
-class EvalReport:
-    n_participants: int
-    baseline: float
-    participant_metrics: MetricSet
-    window_metrics: MetricSet
-    importance_counts: dict[str, int]
-    importance_reported: list[str]
-    importance_top_n: int
-    importance_threshold: float
-    end_fraction: float | None
-    location_counts: dict[str, int]
-    group_stats: list[FeatureGroupStat]
-    folds: list[FoldResult] = field(default_factory=list)
+def _participants(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted participant ids, each one's label (that of its first row)
+    and every row's code, its participant's index in the ids."""
+    ids, first, codes = np.unique(data.participant_ids, return_index=True, return_inverse=True)
+    return ids, data.y[first], codes
 
 
 def lopo_folds(data: Dataset) -> list[tuple[np.ndarray, np.ndarray, str]]:
@@ -92,16 +46,11 @@ def lopo_folds(data: Dataset) -> list[tuple[np.ndarray, np.ndarray, str]]:
     Raises:
         InsufficientData: fewer than two participants.
     """
-    participants = data.participants()
-    if len(participants) < 2:
+    ids, _, codes = _participants(data)
+    if ids.size < 2:
         raise InsufficientData("leave-one-participant-out needs >= 2 participants")
-    folds = []
-    for pid in participants:
-        test = np.flatnonzero(data.participant_ids == pid)
-        train_rows = np.flatnonzero(data.participant_ids != pid)
-        assert not set(data.participant_ids[train_rows]) & {pid}  # no leakage
-        folds.append((train_rows, test, pid))
-    return folds
+    return [(np.flatnonzero(codes != k), np.flatnonzero(codes == k), pid)
+            for k, pid in enumerate(ids)]
 
 
 def oversample_weights(y: np.ndarray, seed: int) -> np.ndarray:
@@ -126,7 +75,9 @@ def oversample_weights(y: np.ndarray, seed: int) -> np.ndarray:
     return weights + np.bincount(extra, minlength=y.size)
 
 
-def _metrics(truths: np.ndarray, predictions: np.ndarray) -> MetricSet:
+def _metrics(truths: np.ndarray, predictions: np.ndarray) -> dict:
+    """Accuracy, per-class precision/recall/f1 keyed "1" and "0", and the
+    confusion counts with class 1 as positive."""
     truths = np.asarray(truths, dtype=int)
     predictions = np.asarray(predictions, dtype=int)
     tp = int(np.sum((predictions == 1) & (truths == 1)))
@@ -134,23 +85,25 @@ def _metrics(truths: np.ndarray, predictions: np.ndarray) -> MetricSet:
     tn = int(np.sum((predictions == 0) & (truths == 0)))
     fn = int(np.sum((predictions == 0) & (truths == 1)))
 
-    def prf(tp_: int, fp_: int, fn_: int) -> ClassMetrics:
+    def prf(tp_: int, fp_: int, fn_: int) -> dict:
         precision = tp_ / (tp_ + fp_) if tp_ + fp_ else 0.0
         recall = tp_ / (tp_ + fn_) if tp_ + fn_ else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        return ClassMetrics(precision=precision, recall=recall, f1=f1)
+        return {"precision": precision, "recall": recall, "f1": f1}
 
-    return MetricSet(
-        accuracy=(tp + tn) / truths.size if truths.size else 0.0,
-        per_class={1: prf(tp, fp, fn), 0: prf(tn, fn, fp)},
-        confusion={"tp": tp, "fp": fp, "tn": tn, "fn": fn},
-    )
+    return {
+        "accuracy": (tp + tn) / truths.size if truths.size else 0.0,
+        "per_class": {"1": prf(tp, fp, fn), "0": prf(tn, fn, fp)},
+        "confusion": {"tp": tp, "fp": fp, "tn": tn, "fn": fn},
+    }
 
 
 def _run_fold(
     data: Dataset, sorted_columns: SortedColumns, params: GbtParams,
     train_rows: np.ndarray, test_rows: np.ndarray, pid: str, fold_seed: int,
-) -> FoldResult:
+) -> tuple[dict, dict[str, float]]:
+    """The held-out participant's report summary, with the windows in
+    window-index order, and the fold model's gain per feature."""
     weights = np.zeros(data.n_rows, dtype=np.int64)
     weights[train_rows] = oversample_weights(data.y[train_rows], fold_seed)
     model = train(data, params, weights, sorted_columns)
@@ -161,18 +114,17 @@ def _run_fold(
     predicted = [int(p >= 0.5) for p in probs]
     smoothed = smooth(predicted)
     verdict = final_label(smoothed)
-    location = majority_window_location(probs, verdict)
-    return FoldResult(
-        participant=pid,
-        truth=int(data.y[test_rows[0]]),
-        window_indices=data.window_indices[test_rows],
-        probabilities=probs,
-        predicted=predicted,
-        smoothed=smoothed,
-        verdict=verdict,
-        location=location,
-        importance=importance(model),
-    )
+    summary = {
+        "participant": pid,
+        "truth": int(data.y[test_rows[0]]),
+        "verdict": verdict,
+        "location": majority_window_location(probs, verdict),
+        "n_windows": len(predicted),
+        "predicted": "".join(map(str, predicted)),
+        "smoothed": "".join(map(str, smoothed)),
+        "mean_probability": float(np.mean(probs)),
+    }
+    return summary, importance(model)
 
 
 def aggregate_importance(
@@ -231,32 +183,34 @@ def mann_whitney_u(x, y) -> tuple[float, float, bool]:
     return u1, p, False
 
 
-def group_difference(data: Dataset) -> list[FeatureGroupStat]:
+def group_difference(data: Dataset) -> list[dict]:
     """Per-feature Mann-Whitney test of per-participant mean values,
-    biased vs unbiased participants."""
-    participants = data.participants()
-    labels = {pid: data.participant_label(pid) for pid in participants}
-    biased = [p for p in participants if labels[p] == 1]
-    unbiased = [p for p in participants if labels[p] == 0]
-    if len(biased) < 2 or len(unbiased) < 2:
+    biased vs unbiased participants: one record per feature, with
+    `u_statistic` and `p_value` NaN when a group has fewer than two
+    participants with a value."""
+    ids, labels, codes = _participants(data)
+    if np.sum(labels == 1) < 2 or np.sum(labels == 0) < 2:
         raise InsufficientData("group statistics need >= 2 participants per group")
 
-    rows_of = {pid: np.flatnonzero(data.participant_ids == pid) for pid in participants}
-    stats = []
-    for j, feature in enumerate(data.column_names):
-        means: dict[str, float] = {}
-        for pid in participants:
-            col = data.X[rows_of[pid], j]
+    # means[k, j]: participant k's mean of feature j over its non-NaN windows.
+    means = np.full((ids.size, len(data.column_names)), np.nan)
+    for k in range(ids.size):
+        block = data.X[codes == k]
+        for j in range(block.shape[1]):
+            col = block[:, j]
             col = col[~np.isnan(col)]
             if col.size:
-                means[pid] = float(col.mean())
-        xs = [means[p] for p in biased if p in means]
-        ys = [means[p] for p in unbiased if p in means]
-        if len(xs) < 2 or len(ys) < 2:
-            stats.append(FeatureGroupStat(feature, math.nan, math.nan, len(xs), len(ys), False))
-            continue
-        u, p, tied = mann_whitney_u(xs, ys)
-        stats.append(FeatureGroupStat(feature, u, p, len(xs), len(ys), tied))
+                means[k, j] = col.mean()
+    stats = []
+    for j, feature in enumerate(data.column_names):
+        xs, ys = means[labels == 1, j], means[labels == 0, j]
+        xs, ys = xs[~np.isnan(xs)], ys[~np.isnan(ys)]
+        if xs.size < 2 or ys.size < 2:
+            u, p, tied = math.nan, math.nan, False
+        else:
+            u, p, tied = mann_whitney_u(xs, ys)
+        stats.append({"feature": feature, "u_statistic": u, "p_value": p,
+                      "n_biased": xs.size, "n_unbiased": ys.size, "all_tied": tied})
     return stats
 
 
@@ -266,10 +220,11 @@ def evaluate(
     seed: int = DEFAULT_SEED,
     top_n: int = DEFAULT_TOP_N,
     importance_threshold: float | None = None,
-) -> EvalReport:
+) -> dict:
     """Full LOPO evaluation: per-fold oversample/train/predict/smooth, one
     fold after another in this process, then participant-level metrics
-    against the majority-class baseline.
+    against the majority-class baseline. Returns the report document: plain
+    JSON values, per-class metrics keyed "1" and "0", one summary per fold.
 
     Raises:
         ParamError: top_n below 1, a negative seed or a non-finite
@@ -283,8 +238,8 @@ def evaluate(
         raise ParamError(f"seed must be >= 0, got {seed}")
     if importance_threshold is not None and not math.isfinite(importance_threshold):
         raise ParamError(f"importance_threshold must be finite, got {importance_threshold}")
-    labels = [data.participant_label(pid) for pid in data.participants()]
-    n_biased, n_unbiased = labels.count(1), labels.count(0)
+    _, labels, _ = _participants(data)
+    n_biased, n_unbiased = int(np.sum(labels == 1)), int(np.sum(labels == 0))
     if n_biased < 2 or n_unbiased < 2:
         raise InsufficientData(
             f"evaluation needs >= 2 participants per class, got {n_biased} biased "
@@ -296,36 +251,30 @@ def evaluate(
         _run_fold(data, sorted_columns, model_params, train_rows, test_rows, pid, seed + 1000 * i)
         for i, (train_rows, test_rows, pid) in enumerate(lopo_folds(data))
     ]
+    folds = [summary for summary, _ in results]
 
-    truths = np.array([r.truth for r in results])
-    verdicts = np.array([r.verdict for r in results])
-    class_counts = {cls: int(np.sum(truths == cls)) for cls in (0, 1)}
-    baseline = max(class_counts.values()) / truths.size
-
-    window_truths = np.concatenate([[r.truth] * len(r.predicted) for r in results])
-    window_preds = np.concatenate([r.predicted for r in results])
-
+    truths = [f["truth"] for f in folds]
+    verdicts = [f["verdict"] for f in folds]
+    window_truths = np.repeat(truths, [f["n_windows"] for f in folds])
+    window_preds = [int(c) for f in folds for c in f["predicted"]]
     counts, reported, threshold = aggregate_importance(
-        [r.importance for r in results], top_n=top_n, threshold=importance_threshold
+        [gains for _, gains in results], top_n=top_n, threshold=importance_threshold
     )
+    location_counts = {"start": 0, "middle": 0, "end": 0}
+    for f in folds:
+        location_counts[f["location"]] += 1
 
-    locations = [r.location for r in results]
-    end_fraction = location_summary(locations, verdicts, truths)
-    location_counts: dict[str, int] = {"start": 0, "middle": 0, "end": 0}
-    for r in results:
-        location_counts[r.location] += 1
-
-    return EvalReport(
-        n_participants=len(results),
-        baseline=float(baseline),
-        participant_metrics=_metrics(truths, verdicts),
-        window_metrics=_metrics(window_truths, window_preds),
-        importance_counts=counts,
-        importance_reported=reported,
-        importance_top_n=top_n,
-        importance_threshold=float(threshold),
-        end_fraction=end_fraction,
-        location_counts=location_counts,
-        group_stats=group_difference(data),
-        folds=results,
-    )
+    return {
+        "n_participants": len(folds),
+        "baseline": max(n_biased, n_unbiased) / len(folds),
+        "participant_metrics": _metrics(truths, verdicts),
+        "window_metrics": _metrics(window_truths, window_preds),
+        "importance_counts": counts,
+        "importance_reported": reported,
+        "importance_top_n": top_n,
+        "importance_threshold": float(threshold),
+        "end_fraction": location_summary([f["location"] for f in folds], verdicts, truths),
+        "location_counts": location_counts,
+        "group_stats": group_difference(data),
+        "folds": folds,
+    }

@@ -248,7 +248,9 @@ def _search(
     f, i, missing_left = best
     return _Split(
         feature=f,
-        threshold=float(0.5 * (cols.values[f, i + 1] + cols.values[f, i])),
+        # Halved before the sum, so that the midpoint of two values near the
+        # float maximum does not overflow to inf.
+        threshold=float(0.5 * cols.values[f, i + 1] + 0.5 * cols.values[f, i]),
         missing_left=missing_left,
         gain=best_gain,
     )

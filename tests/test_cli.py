@@ -13,6 +13,7 @@ import pytest
 import physiobias
 from physiobias.cli import main
 from physiobias.dataset import from_csv
+from physiobias.evaluation import evaluate
 from physiobias.ingest import assemble_session, load_labels, parse_e4_csv
 from physiobias.synth import RATES, SynthParams, generate_corpus
 
@@ -285,6 +286,37 @@ def features_csv(corpus, tmp_path_factory):
     return out / "features.csv"
 
 
+def _nan_marked(value):
+    """value with every float NaN replaced by the string "NaN", so that two
+    documents holding NaN compare equal with ==."""
+    if isinstance(value, dict):
+        return {k: _nan_marked(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_nan_marked(v) for v in value]
+    return "NaN" if isinstance(value, float) and value != value else value
+
+
+# A hand-written report: 46 participants, 26 biased, 35 verdicts right.
+FIXED_REPORT = {
+    "n_participants": 46,
+    "baseline": 0.5652173913043478,
+    "participant_metrics": {
+        "accuracy": 0.7608695652173914,
+        "per_class": {
+            "1": {"precision": 0.7777777777777778, "recall": 0.8076923076923077,
+                  "f1": 0.7924528301886793},
+            "0": {"precision": 0.7368421052631579, "recall": 0.7, "f1": 0.717948717948718},
+        },
+        "confusion": {"tp": 21, "fp": 6, "tn": 14, "fn": 5},
+    },
+    "window_metrics": {"accuracy": 0.7246376811594203},
+    "end_fraction": 0.8571428571428571,
+    "importance_threshold": 23.0,
+    "importance_counts": {"eda_phasic_mean": 46, "eda_tonic_slope": 40, "hr_mean": 12},
+    "importance_reported": ["eda_phasic_mean", "eda_tonic_slope"],
+}
+
+
 class TestEvaluateCommand:
     def test_outputs_and_determinism(self, features_csv, tmp_path):
         args = ["evaluate", "--features", str(features_csv),
@@ -298,8 +330,30 @@ class TestEvaluateCommand:
         doc = json.loads(a)
         assert doc["n_participants"] == 6
         assert doc["meta"]["config"]["seed"] == 9
-        assert (tmp_path / "a" / "importance_counts.csv").exists()
-        assert (tmp_path / "a" / "group_stats.csv").exists()
+        for table in ("importance_counts.csv", "group_stats.csv"):
+            assert (tmp_path / "a" / table).read_bytes() == (tmp_path / "b" / table).read_bytes()
+
+    def test_report_json_is_the_document_evaluate_returns(self, features_csv, tmp_path, monkeypatch):
+        from physiobias import cli
+
+        returned = []
+
+        def recording_evaluate(*args, **kwargs):
+            returned.append(evaluate(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        # An all-missing first feature gives that feature NaN group statistics.
+        lines = features_csv.read_text().splitlines()
+        lines[2:] = [",".join([*row[:3], "", *row[4:]]) for row in (ln.split(",") for ln in lines[2:])]
+        features = tmp_path / "features.csv"
+        features.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", "--features", str(features), "--rounds", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        del doc["meta"]
+        assert _nan_marked(doc) == _nan_marked(returned[0])
+        assert _nan_marked(doc["group_stats"][0])["p_value"] == "NaN"
 
     @pytest.mark.parametrize("flag, value, reason", [
         ("--depth", "0", "depth must be >= 1"),
@@ -345,6 +399,22 @@ class TestEvaluateCommand:
         assert rc == 2
         assert "participant 'P001' has windows labelled" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_report_prints_a_fixed_document(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(FIXED_REPORT))
+        assert main(["report", "--report", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "participants: 46   baseline: 0.565",
+            "participant accuracy: 0.761",
+            "  biased    precision 0.778  recall 0.808  f1 0.792",
+            "  unbiased  precision 0.737  recall 0.700  f1 0.718",
+            "window accuracy: 0.725",
+            "majority window at end (correct biased): 0.857",
+            "features above importance threshold (23): 2",
+            "  eda_phasic_mean (46 folds)",
+            "  eda_tonic_slope (40 folds)",
+        ]
 
     def test_report_non_utf8_fatal(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -587,6 +657,13 @@ CONTRACT = [
      _features_with(lambda h, rows: (h, _two_per_class(
          [rows[0], [*rows[1][:3], "inf", *rows[1][4:]], *rows[2:]]))),
      "data row 2: column 'eda_max' holds an infinite value"),
+    ("evaluate-short-row",
+     _features_with(lambda h, rows: (h, [*rows[:2], rows[2][:-1], *rows[3:]])),
+     "data row 3: row width 104 != header width 105"),
+    ("evaluate-label-flipped-in-a-later-row",
+     _features_with(lambda h, rows: (h, [*rows[:3], [*rows[3][:2], str(1 - int(rows[3][2])),
+                                                     *rows[3][3:]], *rows[4:]])),
+     "data row 4: participant 'P001' has windows labelled"),
     ("evaluate-one-participant-per-class", lambda c, f, t: _evaluate_args(f, t / "out"),
      "needs >= 2 participants per class, got 1 biased and 1 unbiased"),
     ("smooth-label-2", _smooth_of("0 1 2 1 0\n"), "seq.txt:1:5: unexpected character '2'"),

@@ -4,6 +4,7 @@ from scipy.stats import mannwhitneyu
 
 import oracles
 from conftest import make_dataset
+from physiobias import evaluation
 from physiobias.errors import DegenerateLabels, InsufficientData, ParamError
 from physiobias.evaluation import (
     aggregate_importance,
@@ -151,9 +152,9 @@ class TestGroupDifference:
     def test_planted_shift_detected(self):
         data = participant_dataset(n_biased=20, n_unbiased=20, windows=4,
                                    seed=5, shift=3.0)
-        stats = {s.feature: s for s in group_difference(data)}
-        assert stats["f0"].p_value < 0.01
-        assert min(s.p_value for name, s in stats.items() if name != "f0") > 0.001
+        stats = {s["feature"]: s for s in group_difference(data)}
+        assert stats["f0"]["p_value"] < 0.01
+        assert min(s["p_value"] for name, s in stats.items() if name != "f0") > 0.001
 
     def test_requires_two_per_group(self):
         data = participant_dataset(n_biased=1, n_unbiased=4)
@@ -163,9 +164,9 @@ class TestGroupDifference:
     def test_nan_windows_excluded_from_means(self):
         data = participant_dataset(n_biased=3, n_unbiased=3, windows=3, seed=6)
         data.X[data.participant_ids == "P00", 1] = np.nan
-        stats = {s.feature: s for s in group_difference(data)}
-        assert stats["f1"].n_biased == 2  # P00 dropped for f1 only
-        assert stats["f0"].n_biased == 3
+        stats = {s["feature"]: s for s in group_difference(data)}
+        assert stats["f1"]["n_biased"] == 2  # P00 dropped for f1 only
+        assert stats["f0"]["n_biased"] == 3
 
 
 class TestAggregateImportance:
@@ -199,41 +200,49 @@ class TestEvaluate:
                                    seed=7, shift=2.0)
         report = evaluate(data, GbtParams(depth=2, rounds=4, learning_rate=0.5),
                           seed=1)
-        assert report.n_participants == 46
-        assert report.baseline == pytest.approx(26 / 46, abs=1e-3)
+        assert report["n_participants"] == 46
+        assert report["baseline"] == pytest.approx(26 / 46, abs=1e-3)
 
     def test_planted_effect_recovered(self):
         data = participant_dataset(n_biased=6, n_unbiased=6, windows=8,
                                    seed=8, shift=3.0)
         report = evaluate(data, GbtParams(depth=2, rounds=10, learning_rate=0.3),
                           seed=2)
-        assert report.participant_metrics.accuracy >= 0.9
-        assert "f0" in report.importance_reported
+        assert report["participant_metrics"]["accuracy"] >= 0.9
+        assert "f0" in report["importance_reported"]
 
     def test_metrics_identities(self):
         data = participant_dataset(n_biased=6, n_unbiased=5, windows=6,
                                    seed=9, shift=1.0)
         report = evaluate(data, GbtParams(depth=2, rounds=6, learning_rate=0.3),
                           seed=3)
-        for metrics in (report.participant_metrics, report.window_metrics):
-            c = metrics.confusion
+        for metrics in (report["participant_metrics"], report["window_metrics"]):
+            c = metrics["confusion"]
             total = sum(c.values())
-            assert metrics.accuracy == pytest.approx((c["tp"] + c["tn"]) / total)
-            m1 = metrics.per_class[1]
+            assert metrics["accuracy"] == pytest.approx((c["tp"] + c["tn"]) / total)
+            m1 = metrics["per_class"]["1"]
             if c["tp"] + c["fp"] and c["tp"] + c["fn"]:
                 prec = c["tp"] / (c["tp"] + c["fp"])
                 rec = c["tp"] / (c["tp"] + c["fn"])
-                assert m1.precision == pytest.approx(prec)
-                assert m1.recall == pytest.approx(rec)
+                assert m1["precision"] == pytest.approx(prec)
+                assert m1["recall"] == pytest.approx(rec)
                 if prec + rec:
-                    assert m1.f1 == pytest.approx(2 * prec * rec / (prec + rec))
+                    assert m1["f1"] == pytest.approx(2 * prec * rec / (prec + rec))
 
-    def test_fold_window_order(self):
+    def test_fold_window_order(self, monkeypatch):
+        # Rows arrive in reverse window order, and f0 holds the window
+        # index; a prediction that reads f0 shows the order each fold
+        # predicts in.
         data = participant_dataset(n_biased=3, n_unbiased=3, windows=4, seed=11)
+        data = make_dataset(data.X[::-1], data.y[::-1], pids=data.participant_ids[::-1],
+                            window_indices=data.window_indices[::-1])
+        data.X[:, 0] = data.window_indices
+        monkeypatch.setattr(evaluation, "predict_proba_matrix", lambda model, X: X[:, 0] % 2)
         report = evaluate(data, GbtParams(depth=1, rounds=2), seed=5)
-        for fold in report.folds:
-            assert fold.window_indices.tolist() == sorted(fold.window_indices.tolist())
-            assert len(fold.predicted) == 4
+        assert len(report["folds"]) == 6
+        for fold in report["folds"]:
+            assert fold["predicted"] == "0101"
+            assert fold["n_windows"] == 4
 
     def test_feature_matrix_sorted_once(self, monkeypatch):
         # Every fold and node filters one presort of the whole matrix. A
@@ -252,7 +261,7 @@ class TestEvaluate:
         monkeypatch.setattr(np, "argsort", counting_argsort)
         report = evaluate(data, GbtParams(depth=3, rounds=4, learning_rate=0.3), seed=6)
         assert calls == [(data.X.shape[1], data.n_rows)]
-        assert report.n_participants == 7
+        assert report["n_participants"] == 7
 
     def test_top_n_below_one_rejected(self):
         data = participant_dataset()

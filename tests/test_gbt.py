@@ -47,6 +47,14 @@ class TestTrain:
         assert tree.feature[0] == want[1]
         assert tree.threshold[0] == pytest.approx(want[2], rel=1e-12)
 
+    def test_threshold_between_values_near_the_float_maximum_is_finite(self):
+        # 1.5e308 + 1.6e308 overflows; the midpoint itself does not.
+        data = make_dataset(np.array([[1.0], [1.2], [1.5], [1.6]]) * 1e308, np.array([0, 0, 1, 1]))
+        model = train(data, GbtParams(depth=1, rounds=1, learning_rate=1.0, min_child_weight=0.0))
+        assert model.trees[0].threshold[0] == pytest.approx(1.35e308, rel=1e-15)
+        probs = predict_proba_matrix(model, data.X)
+        assert np.all(probs[:2] < 0.5) and np.all(probs[2:] > 0.5)
+
     def test_single_class_rejected(self):
         data = make_dataset(np.random.default_rng(0).normal(size=(10, 2)), np.ones(10))
         with pytest.raises(DegenerateLabels):
