@@ -15,6 +15,10 @@ own files or signals raise PhysioBiasError, with a
 convergence, iterations, KKT residual, residual RMS and window count) and
 warns on stderr about each session whose decomposition did not converge;
 such a session is kept, so the warning does not change the exit code.
+`synth` and `extract` run on `pool.spawn_pool`; this process prints and
+writes everything in participant or session order, so no output depends on
+the worker count, and a worker that dies ends the command with one
+`error:` line and exit 2.
 """
 from __future__ import annotations
 
@@ -23,6 +27,8 @@ import dataclasses
 import json
 import re
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +41,7 @@ from .evaluation import DEFAULT_SEED, DEFAULT_TOP_N, evaluate
 from .features import build_feature_matrix, extract_session_features
 from .gbt import GbtParams
 from .ingest import MIN_SESSION_SECONDS, assemble_session, load_labels
+from .pool import spawn_pool
 from .signals import DEFAULT_WINDOW_SECONDS
 from .smoothing import final_label, smooth_with_trace
 from .synth import EFFECT_LOCATIONS, SynthParams, generate_corpus
@@ -131,6 +138,33 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _extract_session(session_dir: Path, labels: dict[str, int], decomp: DecompParams,
+                     window_seconds: float, min_duration: float, debug_dir: Path | None,
+                     meta: str) -> tuple[str | None, tuple | None, dict | None]:
+    """One session of `extract`, on a pool worker: (None, (participant,
+    label, feature matrix), diagnostics record), with the EDA decomposition
+    dumped into debug_dir if one is given, or (the reason, None, None) for a
+    session that raised PhysioBiasError."""
+    try:
+        session = assemble_session(session_dir, labels, min_duration=min_duration)
+        matrix, components = extract_session_features(session, decomp, window_seconds=window_seconds)
+        if debug_dir is not None:
+            debug_dir.mkdir(exist_ok=True)
+            dump_components_csv(session.eda, components,
+                                debug_dir / f"{session.participant_id}.csv", meta=meta)
+    except PhysioBiasError as exc:
+        return str(exc), None, None
+    record = {
+        "participant": session.participant_id,
+        "converged": components.converged,
+        "iterations": components.iterations,
+        "kkt_residual": components.kkt_residual,
+        "residual_rms": components.residual_rms,
+        "windows": len(matrix),
+    }
+    return None, (session.participant_id, session.label, matrix), record
+
+
 def _cmd_extract(args: argparse.Namespace) -> int:
     data_dir: Path = args.data_dir
     if not data_dir.is_dir():
@@ -159,37 +193,23 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     }
     meta = _meta("extract", config)
 
+    job = partial(_extract_session, labels=labels, decomp=decomp, window_seconds=args.window_seconds,
+                  min_duration=args.min_duration, debug_dir=debug_dir if args.debug_eda else None,
+                  meta=json.dumps(meta, sort_keys=True))
     extracted = []
     diagnostics = []
     failures = 0
-    for session_dir in session_dirs:
-        try:
-            session = assemble_session(session_dir, labels, min_duration=args.min_duration)
-            matrix, components = extract_session_features(
-                session, decomp, window_seconds=args.window_seconds
-            )
-            extracted.append((session.participant_id, session.label, matrix))
-            diagnostics.append({
-                "participant": session.participant_id,
-                "converged": components.converged,
-                "iterations": components.iterations,
-                "kkt_residual": components.kkt_residual,
-                "residual_rms": components.residual_rms,
-                "windows": len(matrix),
-            })
-            if not components.converged:
-                print(f"warning: {session.participant_id}: EDA decomposition did not "
-                      f"converge in {components.iterations} iterations", file=sys.stderr)
-            if args.debug_eda:
-                debug_dir.mkdir(exist_ok=True)
-                dump_components_csv(
-                    session.eda, components,
-                    debug_dir / f"{session.participant_id}.csv",
-                    meta=json.dumps(meta, sort_keys=True),
-                )
-        except PhysioBiasError as exc:
-            failures += 1
-            print(f"skipping {session_dir.name}: {exc}", file=sys.stderr)
+    with spawn_pool(len(session_dirs)) as pool:
+        for session_dir, (reason, session, record) in zip(session_dirs, pool.map(job, session_dirs)):
+            if reason is not None:
+                failures += 1
+                print(f"skipping {session_dir.name}: {reason}", file=sys.stderr)
+                continue
+            extracted.append(session)
+            diagnostics.append(record)
+            if not record["converged"]:
+                print(f"warning: {record['participant']}: EDA decomposition did not "
+                      f"converge in {record['iterations']} iterations", file=sys.stderr)
 
     if not extracted:
         raise NoSessions("no usable sessions")
@@ -321,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PhysioBiasError, OSError) as exc:
+    except (PhysioBiasError, OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

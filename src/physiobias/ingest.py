@@ -7,7 +7,9 @@ comma-separated columns (x, y, z) in device counts; 64 counts equal 1 g.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -94,8 +96,50 @@ def _parse_header_line(line: str, path: Path, lineno: int, ncols: int) -> float:
     return values[0]
 
 
+def _data_lines(path: Path):
+    """(line number, text) of every line that loadtxt reads as a data row:
+    each non-empty line after the two header lines."""
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if lineno > 2 and line:
+                yield lineno, line
+
+
+def _is_number(field: str) -> bool:
+    """Whether loadtxt reads the field as a float: what float() reads, but
+    without underscores or non-ASCII characters between the outer
+    whitespace."""
+    field = field.strip()
+    if not field.isascii() or "_" in field:
+        return False
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_row(path: Path, ncols: int, reason: str) -> ParseError:
+    """The error for the first data line that loadtxt cannot read as ncols
+    numbers, or, if none, for the file with loadtxt's reason."""
+    for lineno, line in _data_lines(path):
+        parts = line.split(",")
+        if len(parts) != ncols:
+            return ParseError(f"{path}:{lineno}: expected {ncols} column(s), got {len(parts)}")
+        if not all(map(_is_number, parts)):
+            return ParseError(f"{path}:{lineno}: non-numeric row {line!r}")
+    return ParseError(f"{path}: {reason}")
+
+
 def parse_e4_csv(path: str | Path, channel: str) -> Signal:
     """Parse one E4 channel file.
+
+    The two header lines are read one by one and the samples by one
+    np.loadtxt call. Lines end at \n, \r\n or \r; an empty line is skipped
+    but counted, so every line number is the line's in the file. A data
+    line is a row of comma-separated numbers as loadtxt reads them: a line
+    of whitespace, a `#` line, or a number with an underscore is malformed.
 
     Args:
         path: CSV file in E4 layout.
@@ -107,8 +151,9 @@ def parse_e4_csv(path: str | Path, channel: str) -> Signal:
 
     Raises:
         ParseError: unreadable or undecodable file, malformed header,
-            non-numeric row, non-finite sample, or a sample outside the
-            channel's PLAUSIBLE_RANGES (with line number and channel).
+            non-numeric row, wrong column count, non-finite sample, or a
+            sample outside the channel's PLAUSIBLE_RANGES (with line number
+            and channel).
         EmptySignal: header present but no data rows.
         SignalError: a BVP or HR sample at or above signals.MAX_ABS_SAMPLE
             in magnitude.
@@ -120,32 +165,26 @@ def parse_e4_csv(path: str | Path, channel: str) -> Signal:
     ncols = 3 if channel == "ACC" else 1
 
     try:
-        lines = path.read_text().splitlines()
+        with path.open() as fh:
+            header = [fh.readline(), fh.readline()]
+            if not header[1]:
+                raise ParseError(f"{path}: file has no header (need timestamp and rate lines)")
+            start_time = _parse_header_line(header[0].rstrip("\n"), path, 1, ncols)
+            rate = _parse_header_line(header[1].rstrip("\n"), path, 2, ncols)
+            if rate <= 0:
+                raise ParseError(f"{path}:2: sample rate must be > 0, got {rate}")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from None
-    if len(lines) < 2:
-        raise ParseError(f"{path}: file has no header (need timestamp and rate lines)")
-    start_time = _parse_header_line(lines[0], path, 1, ncols)
-    rate = _parse_header_line(lines[1], path, 2, ncols)
-    if rate <= 0:
-        raise ParseError(f"{path}:2: sample rate must be > 0, got {rate}")
-
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != ncols:
-            raise ParseError(f"{path}:{lineno}: expected {ncols} column(s), got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric row {line!r}") from None
-
-    if not rows:
+    except ValueError as exc:
+        raise _bad_row(path, ncols, str(exc)) from None
+    if data.size == 0:
         raise EmptySignal(f"{path}: no data rows")
+    if data.shape[1] != ncols:  # every row one width, but not the channel's
+        raise _bad_row(path, ncols, f"expected {ncols} column(s)")
 
-    data = np.asarray(rows, dtype=float)
     if channel == "ACC":
         data /= ACC_COUNTS_PER_G
     lo, hi, unit = PLAUSIBLE_RANGES.get(channel, (-np.inf, np.inf, ""))
@@ -153,8 +192,7 @@ def parse_e4_csv(path: str | Path, channel: str) -> Signal:
     if bad.any():
         row, col = np.argwhere(bad)[0]
         value = data[row, col]
-        # Rows skip blank lines; find the line of the row only on this path.
-        lineno = [i for i, line in enumerate(lines[2:], start=3) if line.strip()][row]
+        lineno = next(islice(_data_lines(path), row, None))[0]
         if not np.isfinite(value):
             raise ParseError(f"{path}:{lineno}: non-finite {channel} sample")
         raise ParseError(f"{path}:{lineno}: {channel} sample {value:g} {unit} is outside "

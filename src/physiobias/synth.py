@@ -12,9 +12,6 @@ constants; only the flags of `physiobias synth` are parameters.
 from __future__ import annotations
 
 import csv
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -24,6 +21,7 @@ import numpy as np
 from .eda import phasic_kernel
 from .errors import ParamError
 from .ingest import ACC_COUNTS_PER_G, CHANNEL_FILES, IAT_CATEGORIES, PLAUSIBLE_RANGES, write_e4_csv
+from .pool import spawn_pool
 from .signals import Signal
 
 RATES = {"eda": 4.0, "bvp": 64.0, "hr": 1.0, "skt": 4.0, "acc": 32.0}
@@ -197,11 +195,11 @@ def _write_session(sessions_dir: Path, params: SynthParams, idx: int,
 def generate_corpus(out_dir: str | Path, params: SynthParams) -> tuple[Path, Path]:
     """Write session directories and the labels CSV.
 
-    Participants are written in parallel, one worker process per available
-    CPU at most. Each draws from its own stream of SeedSequence(seed).spawn,
-    so the files do not depend on the number of workers. The workers are
-    spawned and import the caller's main module, so a script that calls
-    this needs the `if __name__ == "__main__":` guard.
+    Participants are written in parallel on `pool.spawn_pool`, one worker
+    process per available CPU at most. Each draws from its own stream of
+    SeedSequence(seed).spawn, so the files do not depend on the number of
+    workers. The workers import the caller's main module, so a script that
+    calls this needs the `if __name__ == "__main__":` guard.
 
     Returns:
         (sessions_dir, labels_csv_path)
@@ -212,9 +210,7 @@ def generate_corpus(out_dir: str | Path, params: SynthParams) -> tuple[Path, Pat
 
     total = 2 * params.participants_per_class
     streams = np.random.SeedSequence(params.seed).spawn(total)
-    workers = min(len(os.sched_getaffinity(0)), total)
-    # spawn, not fork: numpy's BLAS has started threads in this process.
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+    with spawn_pool(total) as pool:
         rows = list(pool.map(_write_session, repeat(sessions_dir), repeat(params),
                              range(total), streams))
 

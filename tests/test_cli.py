@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
 import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +17,18 @@ import pytest
 import physiobias
 from physiobias.cli import main
 from physiobias.dataset import from_csv
+from physiobias.errors import InsufficientData
 from physiobias.evaluation import evaluate
 from physiobias.ingest import assemble_session, load_labels, parse_e4_csv
+from physiobias.pool import spawn_pool
 from physiobias.synth import RATES, SynthParams, generate_corpus
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(physiobias.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def loaded_after_import(module: str, packages: tuple[str, ...]) -> list[str]:
@@ -23,10 +36,7 @@ def loaded_after_import(module: str, packages: tuple[str, ...]) -> list[str]:
     sys.modules of a fresh interpreter."""
     code = (f"import sys, {module}; "
             f"print(' '.join(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
-    src = str(Path(physiobias.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
@@ -124,6 +134,12 @@ def corpus_sha256(root):
         digest.update(path.relative_to(root).as_posix().encode() + b"\n")
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+# extract --debug-eda --decomp-max-iter 5 on the `corpus` fixture without
+# P003's HR.csv: sha256 over corpus_sha256 of the output directory, then
+# stdout and stderr, from the serial loop that the worker pool replaced.
+EXTRACT_SHA256 = "866e84bf6e5deb61229e4ff307f34dd1bbb89f2e4893c8ae05cfe14fbdd6f760"
 
 
 class TestExtract:
@@ -268,6 +284,34 @@ class TestExtract:
         assert rc == 2
         assert f"error: {labels}: " in capsys.readouterr().err
         assert not (tmp_path / "out" / "features.csv").exists()
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1-worker", "2-workers"])
+    def test_outputs_do_not_depend_on_the_worker_count(
+        self, corpus, tmp_path, monkeypatch, capsys, cpus
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.chdir(tmp_path)  # relative paths: no tmp_path in the outputs
+        shutil.copytree(corpus / "sessions", "sessions")
+        shutil.copy(corpus / "labels.csv", "labels.csv")
+        Path("sessions/P003/HR.csv").unlink()
+        capsys.readouterr()
+        rc = main(["extract", "--data-dir", "sessions", "--labels", "labels.csv", "--out", "out",
+                   "--debug-eda", "--decomp-max-iter", "5"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert multiprocessing.active_children() == []
+        unconverged = "EDA decomposition did not converge in 5 iterations"
+        assert err.splitlines() == [
+            f"warning: P001: {unconverged}",
+            f"warning: P002: {unconverged}",
+            "skipping P003: P003: missing HR.csv",
+            f"warning: P004: {unconverged}",
+            f"warning: P005: {unconverged}",
+            f"warning: P006: {unconverged}",
+            "1 session(s) skipped",
+        ]
+        digest = hashlib.sha256((corpus_sha256(tmp_path / "out") + out + err).encode())
+        assert digest.hexdigest() == EXTRACT_SHA256
 
     def test_meta_carries_no_seed(self, corpus, tmp_path):
         # extract draws no random numbers, so it takes and records no seed.
@@ -467,12 +511,18 @@ class TestSmoothCommand:
 
 class TestCheckOrder:
     def test_window_seconds_one_skips_before_the_solve(self, corpus, tmp_path, capsys, monkeypatch):
+        # The solve runs on the extract workers, which a patch here cannot
+        # reach, so the order is checked on the session function itself.
         from physiobias import features
 
         def no_solve(*args, **kwargs):
             raise AssertionError("decompose called")
 
-        monkeypatch.setattr(features, "decompose", no_solve)
+        session = assemble_session(corpus / "sessions" / "P001", load_labels(corpus / "labels.csv"))
+        with monkeypatch.context() as patch:
+            patch.setattr(features, "decompose", no_solve)
+            with pytest.raises(InsufficientData, match="need >= 2 samples for statistics, got 1"):
+                features.extract_session_features(session, window_seconds=1)
         assert run_extract(corpus, tmp_path, ("--window-seconds", "1")) == 2
         err = capsys.readouterr().err
         for i in range(1, 7):
@@ -491,6 +541,100 @@ class TestCheckOrder:
         out.write_text("")
         assert main(["evaluate", "--features", str(features_csv), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def session_pids(sid: int) -> list[int]:
+    """The live (not zombie) processes of session `sid`, read from /proc."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, _, session = stat.read_text().rsplit(")", 1)[1].split()[:4]
+        except (OSError, ValueError):
+            continue  # the process has gone
+        if int(session) == sid and state != "Z":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def pool_workers(cli: subprocess.Popen, tasks: int) -> list[int]:
+    """The pids of the CLI process's pool workers, once all have started.
+
+    The pool spawns its workers as it submits the first tasks; a worker
+    killed before the last one is registered can hang Python 3.11's
+    ProcessPoolExecutor, so the kills wait for all of them."""
+    count = min(len(os.sched_getaffinity(0)), tasks)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline and cli.poll() is None:
+        workers = []
+        for pid in session_pids(cli.pid):
+            with contextlib.suppress(OSError):
+                if b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes():
+                    workers.append(pid)
+        if len(workers) == count:
+            time.sleep(0.1)  # for the pool to register the last one
+            return workers
+        time.sleep(0.01)
+    pytest.fail(f"the pool workers did not start (CLI exit code {cli.poll()})")
+
+
+@pytest.fixture
+def cli_process(corpus, tmp_path):
+    """Start `physiobias synth|extract` in its own session, with stdout and
+    stderr piped; whatever of that session survives the test is killed."""
+    started = []
+    argv = {
+        "synth": ["synth", "--out", str(tmp_path / "c"), "--participants-per-class", "2",
+                  "--session-seconds", "3600"],
+        "extract": _extract_args(corpus, tmp_path / "out"),
+    }
+
+    def start(command):
+        """The CLI process and the number of tasks its pool gets."""
+        code = "import sys; from physiobias.cli import main; sys.exit(main())"
+        started.append(subprocess.Popen([sys.executable, "-c", code, *argv[command]],
+                                        env=src_env(), stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE, start_new_session=True))
+        return started[-1], {"synth": 4, "extract": 6}[command]
+
+    yield start
+    for cli in started:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(cli.pid, signal.SIGKILL)
+        cli.communicate(timeout=60)
+
+
+def warning_filters():
+    return warnings.filters
+
+
+class TestPoolProcesses:
+    def test_workers_take_the_callers_warning_filters(self):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "a filter set in code")
+            with spawn_pool(1) as pool:
+                assert warnings.filters[0] in pool.submit(warning_filters).result()
+
+    @pytest.mark.parametrize("command", ["synth", "extract"])
+    def test_killed_cli_leaves_no_process_behind(self, cli_process, command):
+        cli, tasks = cli_process(command)
+        pool_workers(cli, tasks)
+        cli.kill()
+        cli.wait()
+        deadline = time.monotonic() + 5
+        while session_pids(cli.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert session_pids(cli.pid) == []
+
+    @pytest.mark.parametrize("command", ["synth", "extract"])
+    def test_killed_worker_is_one_error_line(self, cli_process, command):
+        cli, tasks = cli_process(command)
+        os.kill(pool_workers(cli, tasks)[0], signal.SIGKILL)
+        _, err = cli.communicate(timeout=60)
+        assert cli.returncode == 2, err
+        err = err.decode()
+        assert "Traceback" not in err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1 and "terminated abruptly" in errors[0], err
 
 
 # The CLI contract: every input ends handled, in a skipped session (exit 1)
@@ -538,6 +682,31 @@ def _eda_sample(value):
         eda.write_text("\n".join(lines) + "\n")
         return _extract_args(corpus, tmp / "out", sessions)
     return build
+
+
+def _p001_file(name, edit):
+    """A case that extracts the corpus after `edit` rewrote the text of
+    P001's channel file `name`."""
+    def build(corpus, features, tmp):
+        sessions = tmp / "sessions"
+        shutil.copytree(corpus / "sessions", sessions)
+        path = sessions / "P001" / name
+        path.write_bytes(edit(path.read_text()).encode())
+        return _extract_args(corpus, tmp / "out", sessions)
+    return build
+
+
+def _line(lineno, value, end="\n"):
+    """An edit that replaces line `lineno` with `value` and ends every line with `end`."""
+    def edit(text):
+        lines = text.splitlines()
+        lines[lineno - 1] = value
+        return end.join(lines) + end
+    return edit
+
+
+def _header(text):
+    return "".join(text.splitlines(True)[:2])
 
 
 def _session_dir_is_a_file(corpus, features, tmp):
@@ -624,6 +793,23 @@ CONTRACT = [
     ("extract-eda-sample-1e300", _eda_sample("1e300"), "skipping P001: "),
     # finite to the fourth power, but beyond the sensor's 100 uS
     ("extract-eda-sample-1e60", _eda_sample("1e60"), "skipping P001: "),
+    # The E4 parser reads what np.loadtxt reads; line numbers count every
+    # line. Line 123 of EDA.csv and line 963 of ACC.csv are 30 s in.
+    ("extract-eda-hash-line", _p001_file("EDA.csv", _line(123, "#")),
+     "skipping P001: <tmp>/sessions/P001/EDA.csv:123: non-numeric row '#'"),
+    ("extract-eda-underscore-number", _p001_file("EDA.csv", _line(123, "1_0")),
+     "skipping P001: <tmp>/sessions/P001/EDA.csv:123: non-numeric row '1_0'"),
+    ("extract-eda-whitespace-line", _p001_file("EDA.csv", _line(123, "  ")),
+     "skipping P001: <tmp>/sessions/P001/EDA.csv:123: non-numeric row '  '"),
+    # loadtxt reads this file as one (1, 2) row
+    ("extract-eda-two-value-row", _p001_file("EDA.csv", lambda text: _header(text) + "1,2\n"),
+     "skipping P001: <tmp>/sessions/P001/EDA.csv:3: expected 1 column(s), got 2"),
+    ("extract-acc-two-value-row", _p001_file("ACC.csv", _line(963, "0,64")),
+     "skipping P001: <tmp>/sessions/P001/ACC.csv:963: expected 3 column(s), got 2"),
+    ("extract-eda-crlf-line-ends", _p001_file("EDA.csv", _line(123, "1e60", end="\r\n")),
+     "skipping P001: <tmp>/sessions/P001/EDA.csv:123: EDA sample 1e+60 uS is outside"),
+    ("extract-eda-header-only", _p001_file("EDA.csv", _header),
+     "skipping P001: <tmp>/sessions/P001/EDA.csv: no data rows"),
     ("evaluate-out-is-a-file", lambda c, f, t: _evaluate_args(f, _a_file(t)), "a_file"),
     ("evaluate-seed-negative", lambda c, f, t: _evaluate_args(f, t / "out", "--seed", "-1"),
      "seed must be >= 0"),
@@ -696,7 +882,7 @@ def test_error_contract(two_session_corpus, tmp_path, capsys, build, reason):
     except (Exception, SystemExit) as exc:
         pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
     assert multiprocessing.active_children() == []
-    err = capsys.readouterr().err
+    err = capsys.readouterr().err.replace(str(tmp_path), "<tmp>")
     errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
     if reason.startswith("skipping "):
         assert rc == 1, err

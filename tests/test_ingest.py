@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -58,6 +59,38 @@ class TestParseE4Csv:
         f = tmp_path / "EDA.csv"
         f.write_text("1.0\n4.0\n")
         with pytest.raises(EmptySignal):
+            parse_e4_csv(f, "EDA")
+
+    def test_header_only_file_is_empty_without_a_warning(self, tmp_path):
+        f = tmp_path / "EDA.csv"
+        f.write_text("1.0\n4.0\n\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptySignal, match=r"EDA\.csv: no data rows"):
+                parse_e4_csv(f, "EDA")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends_read_as_lf(self, tmp_path, end):
+        lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+        text = "1.0,1.0,1.0\n32.0,32.0,32.0\n64,0,0\n\n-32,16,5\n"
+        lf.write_text(text)
+        other.write_bytes(text.replace("\n", end).encode())
+        a, b = parse_e4_csv(lf, "ACC"), parse_e4_csv(other, "ACC")
+        assert (a.start_time, a.rate) == (b.start_time, b.rate)
+        assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("body, message", [
+        ("0.5\n1,2\n0.7\n", ":4: expected 1 column\\(s\\), got 2"),
+        ("1,2\n1,2\n", ":3: expected 1 column\\(s\\), got 2"),
+        ("0.5\n\n1_0\n", r":5: non-numeric row '1_0'"),
+        ("0.5\n#\n", r":4: non-numeric row '#'"),
+        ("0.5\n \t\n", r":4: non-numeric row ' \\t'"),
+        ("0.5\n\u0661\n", r":4: non-numeric row"),
+    ])
+    def test_rows_loadtxt_rejects_report_their_line(self, tmp_path, body, message):
+        f = tmp_path / "EDA.csv"
+        f.write_text("1.0\n4.0\n" + body)
+        with pytest.raises(ParseError, match=r"EDA\.csv" + message):
             parse_e4_csv(f, "EDA")
 
     def test_malformed_header(self, tmp_path):
