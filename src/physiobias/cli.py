@@ -19,32 +19,28 @@ such a session is kept, so the warning does not change the exit code.
 writes everything in participant or session order, so no output depends on
 the worker count, and a worker that dies ends the command with one
 `error:` line and exit 2.
+At module level this imports only the stdlib, `errors` and `params` (the
+flag defaults, which import no numpy). Each command imports the modules it
+runs when it starts, as does the extract worker function, so `smooth` loads
+`smoothing` alone, `report` only `json`, and neither loads numpy; an extract
+worker loads the parser, the features and the EDA solve, but not the model,
+the evaluation, `synth` or `smoothing`.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .dataset import Dataset, from_csv
-from .eda import DecompParams, dump_components_csv
 from .errors import NoSessions, ParamError, ParseError, PhysioBiasError
-from .evaluation import DEFAULT_SEED, DEFAULT_TOP_N, evaluate
-from .features import build_feature_matrix, extract_session_features
-from .gbt import GbtParams
-from .ingest import MIN_SESSION_SECONDS, assemble_session, load_labels
-from .pool import spawn_pool
-from .signals import DEFAULT_WINDOW_SECONDS
-from .smoothing import final_label, smooth_with_trace
-from .synth import EFFECT_LOCATIONS, SynthParams, generate_corpus
+from .params import (DEFAULT_SEED, DEFAULT_TOP_N, DEFAULT_WINDOW_SECONDS, EFFECT_LOCATIONS,
+                     MIN_SESSION_SECONDS, DecompParams, GbtParams, SynthParams)
 
 
 def _meta(command: str, config: dict) -> dict:
@@ -123,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import generate_corpus
+
     params = SynthParams(
         participants_per_class=args.participants_per_class,
         session_seconds=args.session_seconds,
@@ -145,6 +143,10 @@ def _extract_session(session_dir: Path, labels: dict[str, int], decomp: DecompPa
     label, feature matrix), diagnostics record), with the EDA decomposition
     dumped into debug_dir if one is given, or (the reason, None, None) for a
     session that raised PhysioBiasError."""
+    from .eda import dump_components_csv
+    from .features import extract_session_features
+    from .ingest import assemble_session
+
     try:
         session = assemble_session(session_dir, labels, min_duration=min_duration)
         matrix, components = extract_session_features(session, decomp, window_seconds=window_seconds)
@@ -166,13 +168,17 @@ def _extract_session(session_dir: Path, labels: dict[str, int], decomp: DecompPa
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    from .features import build_feature_matrix
+    from .ingest import load_labels
+    from .pool import spawn_pool
+
     data_dir: Path = args.data_dir
     if not data_dir.is_dir():
         raise NoSessions(f"{data_dir} is not a directory")
     session_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())
     if not session_dirs:
         raise NoSessions(f"no session directories in {data_dir}")
-    if not (np.isfinite(args.min_duration) and args.min_duration >= 0):
+    if not (math.isfinite(args.min_duration) and args.min_duration >= 0):
         raise ParamError(f"min_duration must be finite and >= 0, got {args.min_duration}")
     labels = load_labels(args.labels)
     decomp = DecompParams(
@@ -227,6 +233,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .dataset import from_csv
+    from .evaluation import evaluate
+
     if args.folds_parallel != 1:
         raise ParamError(f"--folds-parallel must be 1 (folds run in one process), "
                          f"got {args.folds_parallel}")
@@ -277,6 +286,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_smooth(args: argparse.Namespace) -> int:
+    from .smoothing import final_label, smooth_with_trace
+
     try:
         text = args.input.read_text() if args.input else sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -341,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PhysioBiasError, OSError, BrokenProcessPool) as exc:
+    except (PhysioBiasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,14 +38,15 @@ gradient's change from v to r+ is a subgradient of the objective at r+, and
 that change is of the mapping's own size, so `converged` means near-optimal,
 not merely slow.
 
-Cost: B stays a sparse matrix (at most four nonzeros per row), so memory is
-linear in the session length n. The residual e is affine in r, so the
-extrapolated point's residual is the same combination of the two residuals
-it extrapolates from. An iteration costs two O(n * kernel length) direct
-convolutions (the gradient from the extrapolated residual, and K r+), two
-O(n) sparse products and one O(n) banded solve; a fallback step adds the
-same again. K r stays a direct convolution of the non-negative driver, so
-phasic = K r is never negative.
+Cost: B stays a sparse matrix (four entries per row), built by de Boor's
+recursion in numpy, so memory is linear in the session length n and the
+solve imports `scipy.sparse` and `scipy.linalg`, not `scipy.interpolate`.
+The residual e is affine in r, so the extrapolated point's residual is the
+same combination of the two residuals it extrapolates from. An iteration
+costs two O(n * kernel length) direct convolutions (the gradient from the
+extrapolated residual, and K r+), two O(n) sparse products and one O(n)
+banded solve; a fallback step adds the same again. K r stays a direct
+convolution of the non-negative driver, so phasic = K r is never negative.
 """
 from __future__ import annotations
 
@@ -55,6 +56,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InsufficientData, ParamError
+from .params import DecompParams
 from .signals import Signal
 
 if TYPE_CHECKING:
@@ -64,26 +66,6 @@ if TYPE_CHECKING:
 # The phasic kernel at cvxEDA's defaults (Greco et al., IEEE TBME 2016): slow
 # decay and fast rise time constants, and the support it is cut to, in seconds.
 _TAU0, _TAU1, _KERNEL_SECONDS = 2.0, 0.7, 40.0
-
-
-@dataclass
-class DecompParams:
-    """Decomposition parameters. Defaults follow common practice for
-    skin-conductance deconvolution."""
-
-    knot_spacing: float = 10.0  # tonic spline knot spacing, s
-    alpha: float = 8e-4         # l1 weight on the driver
-    gamma: float = 1e-2         # l2 weight on the spline coefficients
-    tol: float = 1e-2           # stop when max |gradient mapping| <= tol * alpha
-    max_iter: int = 5000
-
-    def __post_init__(self) -> None:
-        if not 0 < self.knot_spacing < np.inf:
-            raise ParamError("knot_spacing must be > 0 and finite")
-        if not (self.alpha > 0 and self.gamma > 0 and self.tol > 0):
-            raise ParamError("alpha, gamma and tol must be > 0")
-        if self.max_iter < 1:
-            raise ParamError("max_iter must be >= 1")
 
 
 @dataclass
@@ -120,16 +102,36 @@ def phasic_kernel(rate: float, n: int) -> np.ndarray:
 
 def _spline_basis(n: int, rate: float, knot_spacing: float) -> csr_array:
     """Clamped cubic B-spline design matrix on the sample grid, kept sparse:
-    each row has at most four nonzeros, so memory grows linearly with n.
-    scipy is imported here, so that only the EDA solve pays for it."""
-    from scipy.interpolate import BSpline
+    each row has four entries, so memory grows linearly with n.
 
-    t = np.arange(n) / rate
-    t_end = float(t[-1])
+    de Boor's recursion (de Boor, J. Approx. Theory 1972) raises the degree
+    from 0 to 3 for every sample at once, in the order of operations of
+    scipy's `BSpline.design_matrix`, so the matrix is bit-identical to it
+    without importing `scipy.interpolate`. Sample x lies in knot interval
+    ell, knots[ell] <= x < knots[ell + 1] (the last sample in the last
+    interval), and row x holds basis functions ell - 3 .. ell. The inner
+    knots are distinct, so no denominator is zero."""
+    from scipy.sparse import csr_array
+
+    x = np.arange(n) / rate
+    t_end = float(x[-1])
     n_seg = max(1, int(np.floor(t_end / knot_spacing + 1e-9)))
     inner = np.linspace(0.0, t_end, n_seg + 1)
     knots = np.concatenate([np.repeat(inner[0], 3), inner, np.repeat(inner[-1], 3)])
-    return BSpline.design_matrix(t, knots, 3)
+    ell = np.clip(np.searchsorted(knots, x, side="right") - 1, 3, n_seg + 2)
+    basis = [np.ones(n)]
+    for degree in range(1, 4):
+        lower, basis = basis, [np.zeros(n)]
+        for i in range(1, degree + 1):
+            right, left = knots[ell + i], knots[ell + i - degree]
+            w = lower[i - 1] / (right - left)
+            basis[i - 1] += w * (right - x)
+            basis.append(w * (x - left))
+    # scipy's index type: 32 bits while the entries fit.
+    index = np.int32 if 4 * n < np.iinfo(np.int32).max else np.int64
+    columns = (ell - 3).astype(index)[:, None] + np.arange(4, dtype=index)
+    return csr_array((np.column_stack(basis).ravel(), columns.ravel(),
+                      np.arange(0, 4 * n + 1, 4, dtype=index)), shape=(n, n_seg + 3))
 
 
 def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:

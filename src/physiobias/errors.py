@@ -2,7 +2,9 @@
 
 Every check on outside input (a flag, a file, a signal) raises a
 PhysioBiasError subclass; `cli.main` alone turns one into `error: <reason>`
-and exit 2, and `extract` skips the session that raised it.
+and exit 2, and `extract` skips the session that raised it. A worker
+process that dies raises one too (WorkerDied), so `cli.main` reports it
+the same way.
 """
 
 
@@ -56,3 +58,7 @@ class NoSessions(PhysioBiasError):
 class SignalError(PhysioBiasError, ValueError):
     """Signal with a non-positive rate, a bad shape or non-finite samples,
     or channels that do not start together."""
+
+
+class WorkerDied(PhysioBiasError):
+    """A `synth` or `extract` worker process died before it returned."""

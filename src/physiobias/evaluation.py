@@ -26,11 +26,8 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DegenerateLabels, InsufficientData, ParamError
 from .gbt import GbtParams, SortedColumns, importance, predict_proba_matrix, presort, train
+from .params import DEFAULT_SEED, DEFAULT_TOP_N
 from .smoothing import final_label, majority_window_location, smooth, location_summary
-
-# Defaults of evaluate, which the CLI's --seed and --top-n also take.
-DEFAULT_SEED = 0
-DEFAULT_TOP_N = 20
 
 
 def _participants(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -27,24 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateLabels, ParamError, ShapeError
-
-
-@dataclass
-class GbtParams:
-    depth: int = 4
-    rounds: int = 100
-    learning_rate: float = 0.1
-    reg_lambda: float = 1.0
-    min_child_weight: float = 1.0  # minimum hessian sum per child
-
-    def __post_init__(self) -> None:
-        if self.depth < 1 or self.rounds < 0:
-            raise ParamError("depth must be >= 1 and rounds >= 0")
-        if not (0 < self.learning_rate <= 1):
-            raise ParamError("learning_rate must be in (0, 1]")
-        if not (self.reg_lambda >= 0 and self.min_child_weight >= 0):
-            raise ParamError("reg_lambda and min_child_weight must be >= 0")
+from .errors import DegenerateLabels, ShapeError
+from .params import GbtParams
 
 
 class Tree(NamedTuple):

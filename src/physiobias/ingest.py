@@ -22,13 +22,11 @@ from .errors import (
     MissingChannel,
     ParseError,
 )
+from .params import MIN_SESSION_SECONDS
 from .signals import Signal
 
 # Empatica convention; the device stores acceleration as signed counts.
 ACC_COUNTS_PER_G = 64.0
-
-# Sessions shorter than this after alignment carry too few windows to use.
-MIN_SESSION_SECONDS = 30.0
 
 # Physically plausible sample ranges of the E4 sensors, (low, high, unit) in
 # the parsed units; EDA keeps 0, which lost skin contact reads. BVP and HR

@@ -6,7 +6,9 @@ script that runs `synth` or `extract` needs the `if __name__ == "__main__":`
 guard. Each worker takes the caller's warning filters, so a filter that
 the caller set in code (a test's `error::RuntimeWarning`, say) acts in the
 workers as in the caller, and each worker ends itself as soon as the
-caller's process is gone, however it died.
+caller's process is gone, however it died. A worker that dies itself
+(killed, say, or out of memory) breaks the pool; the pool raises that as a
+WorkerDied, which `cli.main` reports like any PhysioBiasError.
 """
 from __future__ import annotations
 
@@ -15,7 +17,12 @@ import multiprocessing.connection
 import os
 import threading
 import warnings
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+
+from .errors import WorkerDied
 
 
 def _exit_with_parent(sentinel: int) -> None:
@@ -29,11 +36,16 @@ def _start_worker(filters: list) -> None:
     threading.Thread(target=_exit_with_parent, args=(sentinel,), daemon=True).start()
 
 
-def spawn_pool(tasks: int) -> ProcessPoolExecutor:
+@contextmanager
+def spawn_pool(tasks: int) -> Iterator[ProcessPoolExecutor]:
     """A pool of one worker per available CPU, at most one per task."""
-    return ProcessPoolExecutor(
-        min(len(os.sched_getaffinity(0)), tasks),
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=_start_worker,
-        initargs=(list(warnings.filters),),
-    )
+    try:
+        with ProcessPoolExecutor(
+            min(len(os.sched_getaffinity(0)), tasks),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_start_worker,
+            initargs=(list(warnings.filters),),
+        ) as pool:
+            yield pool
+    except BrokenProcessPool as exc:
+        raise WorkerDied(str(exc)) from None

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, ParamError, SignalError
-
-DEFAULT_WINDOW_SECONDS = 5.0
+from .params import DEFAULT_WINDOW_SECONDS
 
 MAX_ABS_SAMPLE = 1e75
 

@@ -12,15 +12,14 @@ constants; only the flags of `physiobias synth` are parameters.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .eda import phasic_kernel
-from .errors import ParamError
 from .ingest import ACC_COUNTS_PER_G, CHANNEL_FILES, IAT_CATEGORIES, PLAUSIBLE_RANGES, write_e4_csv
+from .params import SynthParams
 from .pool import spawn_pool
 from .signals import Signal
 
@@ -33,38 +32,6 @@ SCR_AMP_MEAN = 0.35          # microsiemens
 SCR_AMP_SD = 0.12
 EXTRA_RATE_PER_EFFECT = 1.0  # extra pulses/min per unit effect, per base pulse/min
 AMP_GAIN_PER_EFFECT = 0.4    # amplitude multiplier slope
-
-# Longest session and largest effect accepted: twice the longest E4
-# recording (24 h), and an effect of 600 extra pulses a minute, more than two
-# per EDA sample.
-MAX_SESSION_SECONDS = 172_800.0
-MAX_EFFECT_SIZE = 100.0
-
-# Where the effect sits: the whole session, or only its final third.
-EFFECT_LOCATIONS = ("uniform", "end")
-
-@dataclass
-class SynthParams:
-    participants_per_class: int = 20
-    session_seconds: float = 300.0
-    effect_size: float = 3.0
-    effect_location: str = "uniform"  # one of EFFECT_LOCATIONS
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.participants_per_class < 1:
-            raise ParamError(f"participants_per_class must be >= 1, got {self.participants_per_class}")
-        if not 0 < self.session_seconds <= MAX_SESSION_SECONDS:
-            raise ParamError(f"session_seconds must be positive and at most "
-                             f"{MAX_SESSION_SECONDS:g} (48 h), got {self.session_seconds}")
-        if not 0 <= self.effect_size <= MAX_EFFECT_SIZE:
-            raise ParamError(f"effect_size must be >= 0 and at most {MAX_EFFECT_SIZE:g}, "
-                             f"got {self.effect_size}")
-        if self.effect_location not in EFFECT_LOCATIONS:
-            raise ParamError(f"effect_location must be one of {EFFECT_LOCATIONS}, "
-                             f"got {self.effect_location!r}")
-        if self.seed < 0:
-            raise ParamError(f"seed must be >= 0, got {self.seed}")
 
 
 def _pulse_train(

@@ -342,6 +342,19 @@ def o_mann_whitney_u(x, y) -> tuple[float, float, bool]:
     return u1, min(1.0, math.erfc(abs(z) / math.sqrt(2.0))), False
 
 
+def o_spline_basis(n: int, rate: float, knot_spacing: float):
+    """Reference tonic basis: scipy's `BSpline.design_matrix` of the clamped
+    cubic spline with knots every knot_spacing seconds (the last segment
+    stretched to the end) on the grid of n samples at rate Hz."""
+    from scipy.interpolate import BSpline
+
+    t = np.arange(n) / rate
+    n_seg = max(1, int(np.floor(float(t[-1]) / knot_spacing + 1e-9)))
+    inner = np.linspace(0.0, float(t[-1]), n_seg + 1)
+    knots = np.concatenate([np.repeat(inner[0], 3), inner, np.repeat(inner[-1], 3)])
+    return BSpline.design_matrix(t, knots, 3)
+
+
 def o_decompose_dense(
     y, rate: float, tau0: float = 2.0, tau1: float = 0.7, knot_spacing: float = 10.0,
     alpha: float = 8e-4, gamma: float = 1e-2, tol: float = 1e-6, max_iter: int = 5000,
@@ -353,8 +366,6 @@ def o_decompose_dense(
     from 60 power iterations and a stop on a relative objective change of
     tol. Same model and descent safeguard as eda.decompose, which solves the
     reduced problem in r and stops on a KKT measure instead."""
-    from scipy.interpolate import BSpline
-
     y = np.asarray(y, dtype=float)
     n = y.size
     klen = min(n, int(round(kernel_seconds * rate)))
@@ -363,10 +374,7 @@ def o_decompose_dense(
     h = h / h.max()
 
     t = np.arange(n) / rate
-    n_seg = max(1, int(np.floor(float(t[-1]) / knot_spacing + 1e-9)))
-    inner = np.linspace(0.0, float(t[-1]), n_seg + 1)
-    knots = np.concatenate([np.repeat(inner[0], 3), inner, np.repeat(inner[-1], 3)])
-    B = BSpline.design_matrix(t, knots, 3).toarray()
+    B = o_spline_basis(n, rate, knot_spacing).toarray()
     D = np.column_stack([t / max(t[-1], 1.0), np.ones(n)])
     m, q = B.shape[1], D.shape[1]
 

@@ -31,15 +31,15 @@ def src_env() -> dict[str, str]:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def loaded_after_import(module: str, packages: tuple[str, ...]) -> list[str]:
-    """The modules of `packages` that importing `module` leaves in
-    sys.modules of a fresh interpreter."""
-    code = (f"import sys, {module}; "
+def loaded_after_import(module: str, packages: tuple[str, ...], then: str = "pass") -> list[str]:
+    """The modules of `packages` that importing `module`, and then running
+    the statement `then`, leaves in sys.modules of a fresh interpreter."""
+    code = (f"import sys, {module}; {then}; "
             f"print(' '.join(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
     done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    return done.stdout.split()
+    return done.stdout.splitlines()[-1].split()
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -59,6 +59,38 @@ def test_synth_import_loads_only_its_dependencies():
     loaded = loaded_after_import("physiobias.synth", ("physiobias", "scipy"))
     unwanted = {"physiobias.gbt", "physiobias.evaluation", "physiobias.features",
                 "physiobias.dataset", "physiobias.cli", "scipy"}
+    assert unwanted.isdisjoint(loaded), loaded
+
+
+def test_cli_import_loads_no_numpy_and_no_pool():
+    # Every command pays for importing the CLI; each loads the rest itself.
+    packages = ("numpy", "scipy", "multiprocessing", "concurrent")
+    assert loaded_after_import("physiobias.cli", packages) == []
+
+
+@pytest.mark.parametrize("command", ["smooth", "report"])
+def test_smooth_and_report_load_no_numpy(tmp_path, command):
+    path = tmp_path / "input"
+    path.write_text("0 1 1 0 1\n" if command == "smooth" else json.dumps(FIXED_REPORT))
+    argv = ["smooth", "--input", str(path)] if command == "smooth" else ["report", "--report", str(path)]
+    run = f"assert physiobias.cli.main({argv!r}) == 0"
+    assert loaded_after_import("physiobias.cli", ("numpy",), then=run) == []
+
+
+def test_extract_worker_loads_only_the_extraction(corpus):
+    # What a spawned extract worker imports: the module of the worker
+    # function, then one session's parse, decomposition and features.
+    run = ("from pathlib import Path; from physiobias.ingest import load_labels; "
+           "from physiobias.eda import DecompParams; "
+           f"sessions = Path({str(corpus / 'sessions')!r}); "
+           f"labels = load_labels(Path({str(corpus / 'labels.csv')!r})); "
+           "reason, _, record = physiobias.cli._extract_session("
+           "sessions / 'P001', labels, DecompParams(), 5.0, 30.0, None, ''); "
+           "assert reason is None and record['iterations'] > 0, reason")
+    loaded = loaded_after_import("physiobias.cli", ("physiobias", "scipy"), then=run)
+    assert "physiobias.eda" in loaded and "scipy.linalg" in loaded, loaded
+    unwanted = {"physiobias.gbt", "physiobias.evaluation", "physiobias.synth",
+                "physiobias.smoothing", "scipy.interpolate"}
     assert unwanted.isdisjoint(loaded), loaded
 
 
@@ -378,7 +410,7 @@ class TestEvaluateCommand:
             assert (tmp_path / "a" / table).read_bytes() == (tmp_path / "b" / table).read_bytes()
 
     def test_report_json_is_the_document_evaluate_returns(self, features_csv, tmp_path, monkeypatch):
-        from physiobias import cli
+        from physiobias import evaluation
 
         returned = []
 
@@ -386,7 +418,7 @@ class TestEvaluateCommand:
             returned.append(evaluate(*args, **kwargs))
             return returned[-1]
 
-        monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+        monkeypatch.setattr(evaluation, "evaluate", recording_evaluate)
         # An all-missing first feature gives that feature NaN group statistics.
         lines = features_csv.read_text().splitlines()
         lines[2:] = [",".join([*row[:3], "", *row[4:]]) for row in (ln.split(",") for ln in lines[2:])]

@@ -233,6 +233,22 @@ class TestDenseReference:
         assert ref["iterations"] == 300
         self.assert_optimal_in_tonic_and_no_worse(sig, comp, params, ref)
 
+    @pytest.mark.parametrize("n, rate, knot_spacing", [
+        (300 * 4, RATE, 10.0),    # 5 min
+        (1800 * 4, RATE, 10.0),   # 30 min
+        (7200 * 4, RATE, 10.0),   # 2 h
+        (160, RATE, 10.0),        # exactly 4 knot spacings, the shortest solve
+        (1234, RATE, 10.0),       # ends 8.25 s into its last knot spacing
+        (1234, RATE, 7.3),        # 29.2 samples per knot spacing
+        (2000, 32.0, 10.0),       # another rate
+    ])
+    def test_basis_is_bit_identical_to_scipy(self, n, rate, knot_spacing):
+        B = _spline_basis(n, rate, knot_spacing)
+        ref = oracles.o_spline_basis(n, rate, knot_spacing)
+        assert B.shape == ref.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(B, part), getattr(ref, part)), part
+
     def test_day_long_basis_is_sparse(self):
         n = 24 * 3600 * int(RATE)
         B = _spline_basis(n, RATE, 10.0)
