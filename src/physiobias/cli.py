@@ -138,11 +138,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _extract_session(session_dir: Path, labels: dict[str, int], decomp: DecompParams,
                      window_seconds: float, min_duration: float, debug_dir: Path | None,
-                     meta: str) -> tuple[str | None, tuple | None, dict | None]:
-    """One session of `extract`, on a pool worker: (None, (participant,
-    label, feature matrix), diagnostics record), with the EDA decomposition
-    dumped into debug_dir if one is given, or (the reason, None, None) for a
-    session that raised PhysioBiasError."""
+                     meta: str) -> tuple[str | None, object, dict | None]:
+    """One session of `extract`, on a pool worker: (None, its feature
+    matrix, its diagnostics record), with the EDA decomposition dumped into
+    debug_dir if one is given, or (the reason, None, None) for a session
+    that raised PhysioBiasError."""
     from .eda import dump_components_csv
     from .features import extract_session_features
     from .ingest import assemble_session
@@ -152,23 +152,24 @@ def _extract_session(session_dir: Path, labels: dict[str, int], decomp: DecompPa
         matrix, components = extract_session_features(session, decomp, window_seconds=window_seconds)
         if debug_dir is not None:
             debug_dir.mkdir(exist_ok=True)
-            dump_components_csv(session.eda, components,
-                                debug_dir / f"{session.participant_id}.csv", meta=meta)
+            dump_components_csv(session["eda"], components,
+                                debug_dir / f"{session_dir.name}.csv", meta=meta)
     except PhysioBiasError as exc:
         return str(exc), None, None
     record = {
-        "participant": session.participant_id,
+        "participant": session_dir.name,
         "converged": components.converged,
         "iterations": components.iterations,
         "kkt_residual": components.kkt_residual,
         "residual_rms": components.residual_rms,
         "windows": len(matrix),
     }
-    return None, (session.participant_id, session.label, matrix), record
+    return None, matrix, record
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    from .features import build_feature_matrix
+    from .dataset import write_csv
+    from .features import FEATURE_COLUMNS
     from .ingest import load_labels
     from .pool import spawn_pool
 
@@ -206,12 +207,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     diagnostics = []
     failures = 0
     with spawn_pool(len(session_dirs)) as pool:
-        for session_dir, (reason, session, record) in zip(session_dirs, pool.map(job, session_dirs)):
+        for session_dir, (reason, matrix, record) in zip(session_dirs, pool.map(job, session_dirs)):
             if reason is not None:
                 failures += 1
                 print(f"skipping {session_dir.name}: {reason}", file=sys.stderr)
                 continue
-            extracted.append(session)
+            extracted.append((session_dir.name, labels[session_dir.name], matrix))
             diagnostics.append(record)
             if not record["converged"]:
                 print(f"warning: {record['participant']}: EDA decomposition did not "
@@ -220,12 +221,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if not extracted:
         raise NoSessions("no usable sessions")
 
-    data = build_feature_matrix(extracted)
-    data.to_csv(args.out / "features.csv", meta=meta)
+    write_csv(args.out / "features.csv", FEATURE_COLUMNS, extracted, meta)
     doc = {"meta": meta, "sessions": diagnostics}
     (args.out / "extract_diagnostics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {data.n_rows} windows x {len(data.column_names)} features "
-          f"for {len(extracted)} sessions -> {args.out / 'features.csv'}")
+    print(f"wrote {sum(record['windows'] for record in diagnostics)} windows x "
+          f"{len(FEATURE_COLUMNS)} features for {len(extracted)} sessions -> {args.out / 'features.csv'}")
     if failures:
         print(f"{failures} session(s) skipped", file=sys.stderr)
         return 1

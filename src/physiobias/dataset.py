@@ -1,7 +1,10 @@
-"""Feature matrix container shared by the learner and the evaluation harness.
+"""features.csv, the hand-off from `extract` to `evaluate`: its one writer,
+and its one reader, which validates the file once, naming the row at fault,
+and returns the Dataset that `evaluate` reads.
 
-Missing feature values are carried as NaN; the tree learner routes them
-through per-split default branches, so no imputation happens anywhere.
+A missing feature value is an empty cell in the file and NaN in memory; the
+tree learner routes it through per-split default branches, so no imputation
+happens anywhere.
 """
 from __future__ import annotations
 
@@ -24,47 +27,33 @@ class Dataset:
     window_indices: np.ndarray    # (n,) int, window ordinal within participant
     column_names: list[str]
 
-    def __post_init__(self) -> None:
-        self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=int)
-        self.participant_ids = np.asarray(self.participant_ids, dtype=object)
-        self.window_indices = np.asarray(self.window_indices, dtype=int)
-        n = self.X.shape[0]
-        if self.X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if self.X.shape[1] != len(self.column_names):
-            raise ValueError("X width does not match column_names")
-        if not (self.y.shape == (n,) == self.participant_ids.shape == self.window_indices.shape):
-            raise ValueError("row metadata lengths disagree")
-        if n and not np.isin(self.y, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
-        if any(not pid for pid in self.participant_ids):
-            raise ValueError("participant ids must be non-empty")
-
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    def to_csv(self, path: str | Path, meta: dict | None = None) -> None:
-        """Write the matrix with a `participant_id,window_index,label,...`
-        header; missing cells are left empty. `meta` lands in a leading
-        comment line so re-parsing can skip it."""
-        path = Path(path)
-        lines = []
-        if meta is not None:
-            lines.append("# " + json.dumps(meta, sort_keys=True))
-        lines.append(",".join(["participant_id", "window_index", "label"] + self.column_names))
-        for pid, window, label, row in zip(
-            self.participant_ids, self.window_indices.tolist(), self.y.tolist(), self.X.tolist()
-        ):
-            cells = [str(pid), str(window), str(label)]
-            cells += ["" if v != v else repr(v) for v in row]
-            lines.append(",".join(cells))
-        path.write_text("\n".join(lines) + "\n")
+
+def write_csv(path: str | Path, column_names: list[str],
+              sessions: list[tuple[str, int, np.ndarray]], meta: dict) -> None:
+    """Write features.csv: the `# <meta>` line, the header, then for each
+    (participant, label, (n_windows, len(column_names)) matrix) in
+    `sessions`, in order, one row per window, numbered from 0.
+
+    A NaN cell is left empty and every other value is written as its repr,
+    so from_csv reads the matrices back bit for bit. One session is
+    formatted at a time.
+    """
+    with Path(path).open("w") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(",".join(["participant_id", "window_index", "label", *column_names]) + "\n")
+        for pid, label, matrix in sessions:
+            fh.write("".join(
+                f"{pid},{window},{label}," + ",".join(["" if v != v else repr(v) for v in row]) + "\n"
+                for window, row in enumerate(matrix.tolist())
+            ))
 
 
 def from_csv(path: str | Path) -> Dataset:
-    """Read a feature matrix written by Dataset.to_csv.
+    """Read a feature matrix written by write_csv.
 
     Raises:
         ParseError: an unreadable or undecodable file, or a malformed one:
@@ -128,8 +117,8 @@ def from_csv(path: str | Path) -> Dataset:
                          f"holds an infinite value")
     return Dataset(
         X=X,
-        y=np.asarray(labels),
+        y=np.asarray(labels, dtype=int),
         participant_ids=np.asarray(pids, dtype=object),
-        window_indices=np.asarray(widx),
+        window_indices=np.asarray(widx, dtype=int),
         column_names=columns,
     )

@@ -155,10 +155,10 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
         raise ParamError(
             f"knot_spacing {params.knot_spacing:g} s is shorter than one sample at {rate:g} Hz"
         )
-    min_len = int(4 * params.knot_spacing * rate)
+    min_len = np.floor(4 * params.knot_spacing * rate)  # a float: inf past the float range
     if n < min_len:
         raise InsufficientData(
-            f"EDA too short to decompose: {n} samples < {min_len} "
+            f"EDA too short to decompose: {n} samples < {min_len:g} "
             f"(4 knot spacings at {rate:g} Hz)"
         )
 

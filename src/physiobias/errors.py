@@ -28,7 +28,9 @@ class LabelError(PhysioBiasError):
 
 
 class BadParticipantId(PhysioBiasError):
-    """Participant id that would not survive a features.csv round trip."""
+    """Participant id that would not survive a features.csv round trip: it
+    holds a comma or a line break (any that str.splitlines splits at), or
+    starts with '#'."""
 
 
 class MissingChannel(PhysioBiasError):

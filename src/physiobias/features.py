@@ -1,4 +1,5 @@
-"""Window features across the seven feature signals, one matrix per session.
+"""Window features across the seven feature signals, one matrix per session,
+which dataset.write_csv writes.
 
 Signals: eda, eda_tonic, eda_phasic, bvp, hr, skt, magnitude. Every signal
 gets the nine statistical features; eda/eda_tonic/eda_phasic/bvp add six
@@ -23,11 +24,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .dataset import Dataset
 from .eda import DecompParams, EdaComponents, decompose
 from .errors import InsufficientData
-from .ingest import RawSession
-from .signals import DEFAULT_WINDOW_SECONDS, magnitude, window_matrices
+from .signals import DEFAULT_WINDOW_SECONDS, Signal, magnitude, window_matrices
 
 STAT_FEATURES = (
     "max", "min", "median", "mean", "std", "var",
@@ -248,12 +247,15 @@ def window_feature_matrix(
 
 
 def extract_session_features(
-    session: RawSession,
+    session: dict[str, Signal],
     decomp_params: DecompParams | None = None,
     window_seconds: float = DEFAULT_WINDOW_SECONDS,
 ) -> tuple[np.ndarray, EdaComponents]:
     """Decompose the session's EDA, window all seven signals, and compute
     the session's (n_windows, 102) feature matrix.
+
+    `session` holds the five aligned channels that ingest.assemble_session
+    returns: eda, bvp, hr, skt and the (N, 3) acc.
 
     Every check on the window size runs on the session's first window
     before the decomposition is paid for, the EDA standing in for its
@@ -265,37 +267,15 @@ def extract_session_features(
         InsufficientData: the session is shorter than one window, or a
             window holds too few samples for a feature.
     """
-    channels = {
-        "eda": session.eda,
-        "eda_tonic": session.eda,
-        "eda_phasic": session.eda,
-        "bvp": session.bvp,
-        "hr": session.hr,
-        "skt": session.skt,
-        "magnitude": magnitude(session.acc),
-    }
+    eda = session["eda"]
+    channels = {"eda": eda, "eda_tonic": eda, "eda_phasic": eda, "bvp": session["bvp"],
+                "hr": session["hr"], "skt": session["skt"], "magnitude": magnitude(session["acc"])}
     rates = {name: s.rate for name, s in channels.items()}
     windows = window_matrices(channels, window_seconds)
     window_feature_matrix({name: w[:1] for name, w in windows.items()}, rates)
-    components = decompose(session.eda, decomp_params)
+    components = decompose(eda, decomp_params)
     channels["eda_tonic"] = components.tonic
     channels["eda_phasic"] = components.phasic
     windows = window_matrices(channels, window_seconds)
     return window_feature_matrix(windows, rates), components
 
-
-def build_feature_matrix(sessions: list[tuple[str, int, np.ndarray]]) -> Dataset:
-    """Stack the sessions' feature matrices into one Dataset row per window.
-
-    Args:
-        sessions: one or more (participant_id, label, (n_windows, 102)
-            feature matrix) triples.
-    """
-    counts = [len(matrix) for _, _, matrix in sessions]
-    return Dataset(
-        X=np.vstack([matrix for _, _, matrix in sessions]),
-        y=np.repeat([int(label) for _, label, _ in sessions], counts),
-        participant_ids=np.repeat(np.array([pid for pid, _, _ in sessions], dtype=object), counts),
-        window_indices=np.concatenate([np.arange(n) for n in counts]),
-        column_names=list(FEATURE_COLUMNS),
-    )

@@ -192,6 +192,9 @@ def _block_gains(
     return gains, missing_left
 
 
+# A child's hessian sum plus reg_lambda may be 0 or tiny: a masked NaN gain
+# does not count and a non-finite best ends the search, so numpy need not warn.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _search(
     cols: SortedColumns,
     gw: np.ndarray,

@@ -1,4 +1,5 @@
-"""Empatica E4 session parsing, IAT label mapping, and session assembly.
+"""Empatica E4 session parsing, IAT label mapping, and session assembly
+into five aligned channels.
 
 E4 CSV layout: line 1 holds the initial unix timestamp, line 2 the sampling
 rate, and every following line one sample. ACC.csv carries three
@@ -8,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -64,19 +64,6 @@ IAT_CATEGORIES = (
     "slight preference for Black",
     "no preference for White",
 )
-
-
-@dataclass
-class RawSession:
-    """One participant's aligned raw recording with its label."""
-
-    participant_id: str
-    eda: Signal
-    bvp: Signal
-    hr: Signal
-    skt: Signal
-    acc: Signal  # (N, 3) rows of (x, y, z) in g
-    label: int  # 1 biased, 0 unbiased
 
 
 def _parse_header_line(line: str, path: Path, lineno: int, ncols: int) -> float:
@@ -286,22 +273,26 @@ def assemble_session(
     session_dir: str | Path,
     labels: dict[str, int],
     min_duration: float = MIN_SESSION_SECONDS,
-) -> RawSession:
-    """Parse one session directory into an aligned, labeled RawSession.
+) -> dict[str, Signal]:
+    """Parse one session directory into its five aligned channels, keyed as
+    CHANNEL_FILES; ACC is (N, 3) rows of (x, y, z) in g.
 
     The five channels are trimmed to their maximal common time interval;
-    nothing is ever padded. The directory name is the participant id.
+    nothing is ever padded. The directory name is the participant id, which
+    must have a label in `labels`.
 
     Raises:
-        BadParticipantId: the directory name holds a comma or a line break,
-            or starts with '#', any of which would break features.csv.
+        BadParticipantId: the directory name holds a comma or any character
+            at which str.splitlines breaks a line, or starts with '#', any
+            of which would break features.csv.
         MissingChannel: a channel file is absent.
         LabelError: the participant has no label.
         InsufficientData: the common interval is shorter than min_duration.
     """
     session_dir = Path(session_dir)
     participant_id = session_dir.name
-    if any(ch in participant_id for ch in ",\n\r") or participant_id.startswith("#"):
+    if ("," in participant_id or participant_id.startswith("#")
+            or participant_id.splitlines() != [participant_id]):
         raise BadParticipantId(
             f"participant id {participant_id!r} holds a comma or line break, "
             "or starts with '#', which features.csv cannot carry"
@@ -323,14 +314,4 @@ def assemble_session(
             f"{participant_id}: common interval {max(t1 - t0, 0.0):.1f}s "
             f"is below the {min_duration:.0f}s minimum"
         )
-    trimmed = {name: _trim(s, t0, t1) for name, s in parsed.items()}
-
-    return RawSession(
-        participant_id=participant_id,
-        eda=trimmed["eda"],
-        bvp=trimmed["bvp"],
-        hr=trimmed["hr"],
-        skt=trimmed["skt"],
-        acc=trimmed["acc"],
-        label=labels[participant_id],
-    )
+    return {name: _trim(s, t0, t1) for name, s in parsed.items()}

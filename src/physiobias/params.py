@@ -47,8 +47,8 @@ class DecompParams:
     def __post_init__(self) -> None:
         if not 0 < self.knot_spacing < math.inf:
             raise ParamError("knot_spacing must be > 0 and finite")
-        if not (self.alpha > 0 and self.gamma > 0 and self.tol > 0):
-            raise ParamError("alpha, gamma and tol must be > 0")
+        if not all(0 < v < math.inf for v in (self.alpha, self.gamma, self.tol)):
+            raise ParamError("alpha, gamma and tol must be > 0 and finite")
         if self.max_iter < 1:
             raise ParamError("max_iter must be >= 1")
 

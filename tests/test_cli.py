@@ -138,7 +138,7 @@ class TestSynth:
     def test_sessions_assemble(self, corpus):
         labels = load_labels(corpus / "labels.csv")
         session = assemble_session(corpus / "sessions" / "P002", labels)
-        assert session.eda.duration >= 60.0
+        assert session["eda"].duration >= 60.0
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1-worker", "2-workers"])
     def test_corpus_bytes_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, cpus):
@@ -814,6 +814,13 @@ CONTRACT = [
     ("extract-decomp-alpha-nan",
      lambda c, f, t: _extract_args(c, t / "out") + ["--decomp-alpha", "nan"],
      "alpha, gamma and tol must be > 0"),
+    ("extract-decomp-gamma-inf",
+     lambda c, f, t: _extract_args(c, t / "out") + ["--decomp-gamma", "inf"],
+     "alpha, gamma and tol must be > 0 and finite"),
+    # four knot spacings overflow the float range: every session is too short
+    ("extract-knot-spacing-overflow",
+     lambda c, f, t: _extract_args(c, t / "out") + ["--knot-spacing", "2e307"],
+     "no usable sessions"),
     ("extract-min-duration-nan",
      lambda c, f, t: _extract_args(c, t / "out") + ["--min-duration", "nan"],
      "min_duration must be finite and >= 0, got nan"),

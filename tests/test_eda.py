@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,12 @@ class TestDecompParams:
             DecompParams(alpha=0.0)
         with pytest.raises(ParamError):
             DecompParams(knot_spacing=-1.0)
+
+    @pytest.mark.parametrize("name", ["knot_spacing", "alpha", "gamma", "tol"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ParamError, match="finite"):
+            DecompParams(**{name: value})
 
 
 class TestDecompose:
@@ -139,6 +146,18 @@ class TestDecompose:
     def test_too_short(self):
         with pytest.raises(InsufficientData):
             decompose(Signal(0.0, RATE, np.ones(100)))
+
+    def test_shortest_solve_is_four_knot_spacings_rounded_down(self):
+        # 4 x 7.3 s at 4 Hz is 116.8 samples: 116 decompose, 115 do not
+        params = DecompParams(knot_spacing=7.3)
+        assert decompose(pulse_signal(n=116, pulse_sample=40), params).tonic.samples.size == 116
+        with pytest.raises(InsufficientData, match="115 samples < 116 "):
+            decompose(pulse_signal(n=115, pulse_sample=40), params)
+
+    @pytest.mark.parametrize("knot_spacing, minimum", [(1e305, "1.6e+306"), (2e307, "inf")])
+    def test_huge_knot_spacing_is_too_short_for_any_signal(self, knot_spacing, minimum):
+        with pytest.raises(InsufficientData, match=rf"480 samples < {re.escape(minimum)} \("):
+            decompose(pulse_signal(), DecompParams(knot_spacing=knot_spacing))
 
     def test_two_hour_signal_converges(self):
         comp = decompose(drifting_eda(120.0, 0))

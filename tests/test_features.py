@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import slice_features
+from physiobias.dataset import from_csv, write_csv
 from physiobias.eda import decompose
 from physiobias.errors import InsufficientData
 from physiobias.features import (
@@ -14,7 +15,6 @@ from physiobias.features import (
     EXTRA_SIGNALS,
     FEATURE_COLUMNS,
     FEATURE_SIGNALS,
-    build_feature_matrix,
     detect_beats,
     eda_extra_columns,
     extract_session_features,
@@ -308,10 +308,14 @@ class TestWindowFeatures:
 
 
 class TestBuildFeatureMatrix:
-    def test_rows_columns_and_missing(self):
+    def test_rows_columns_and_missing(self, tmp_path):
         row_a = window_feature_matrix(make_windows(), RATES)
         row_b = window_feature_matrix(make_windows(bvp=np.zeros(320)), RATES)
-        data = build_feature_matrix([("pA", 1, np.vstack([row_a, row_b])), ("pB", 0, row_a)])
+        matrix_a = np.vstack([row_a, row_b])
+        write_csv(tmp_path / "features.csv", FEATURE_COLUMNS,
+                  [("pA", 1, matrix_a), ("pB", 0, row_a)], meta={})
+        data = from_csv(tmp_path / "features.csv")
+        assert same_bits(data.X, np.vstack([matrix_a, row_a])).all()
         assert data.X.shape == (3, 102)
         assert list(data.column_names) == FEATURE_COLUMNS
         assert data.y.tolist() == [1, 1, 0]
@@ -333,11 +337,11 @@ def synth_sessions(tmp_path_factory):
     out = []
     for d in sorted(sessions_dir.iterdir()):
         session = assemble_session(d, labels)
-        comp = decompose(session.eda)
+        comp = decompose(session["eda"])
         channels = {
-            "eda": session.eda, "eda_tonic": comp.tonic, "eda_phasic": comp.phasic,
-            "bvp": session.bvp, "hr": session.hr, "skt": session.skt,
-            "magnitude": magnitude(session.acc),
+            "eda": session["eda"], "eda_tonic": comp.tonic, "eda_phasic": comp.phasic,
+            "bvp": session["bvp"], "hr": session["hr"], "skt": session["skt"],
+            "magnitude": magnitude(session["acc"]),
         }
         out.append((session, channels))
     return out

@@ -7,12 +7,17 @@ error, in the extract workers as well). Each test mutates copies of one kind
 of input, from a 1 + 1 x 60 s corpus, with stdlib `random` under a fixed
 seed, runs `main` on each copy in-process, and checks that what exit 0 or 1
 wrote reads back. A failure names the seed and the mutations that failed.
+The last test sets each float flag of `extract` and `evaluate` to each of a
+fixed list of extremes.
 """
 import random
 import shutil
+import types
+from contextlib import contextmanager
 
 import pytest
 
+from physiobias import pool
 from physiobias.cli import main
 from physiobias.dataset import from_csv
 
@@ -192,3 +197,37 @@ def test_smooth_input(tmp_path, capsys):
         path.write_bytes(data)
         check(failures, what, *run_main(["smooth", "--input", str(path)], capsys))
     assert_none(failures, "smooth input")
+
+
+EXTREMES = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-1"]
+
+FLOAT_FLAGS = [
+    *[("extract", flag) for flag in ("--window-seconds", "--min-duration", "--knot-spacing",
+                                     "--decomp-alpha", "--decomp-gamma", "--decomp-tol")],
+    *[("evaluate", flag) for flag in ("--learning-rate", "--reg-lambda", "--min-child-weight",
+                                      "--importance-threshold")],
+]
+
+
+@contextmanager
+def serial_pool(tasks):
+    """spawn_pool's stand-in: the tasks run one after another in this process."""
+    yield types.SimpleNamespace(map=map)
+
+
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS, ids=[f"{c}{f}" for c, f in FLOAT_FLAGS])
+def test_float_flag_extremes(fuzz_corpus, tmp_path, capsys, monkeypatch, command, flag):
+    """The flag at each of EXTREMES, in one run each; extract's sessions run
+    in this process."""
+    monkeypatch.setattr(pool, "spawn_pool", serial_pool)
+    failures = []
+    for k, value in enumerate(EXTREMES):
+        out = tmp_path / f"out{k}"
+        if command == "extract":
+            argv = ["extract", "--data-dir", str(fuzz_corpus / "sessions"),
+                    "--labels", str(fuzz_corpus / "labels.csv"), "--out", str(out)]
+        else:
+            argv = ["evaluate", "--features", str(fuzz_corpus / "features.csv"),
+                    "--out", str(out), "--rounds", "2"]
+        check(failures, f"{flag}={value}", *run_main([*argv, f"{flag}={value}"], capsys))
+    assert_none(failures, f"{command} {flag}")

@@ -305,13 +305,13 @@ class TestAssembleSession:
         d = write_session(tmp_path, "P1", duration=40.0, offsets={"EDA.csv": -2.0})
         session = assemble_session(d, LABELS)
         # EDA started 2 s early: trimmed to the BVP start
-        assert session.eda.start_time == 100.0
-        assert session.eda.samples.size == 4 * 38  # only 38 s of EDA overlap remain
+        assert session["eda"].start_time == 100.0
+        assert session["eda"].samples.size == 4 * 38  # only 38 s of EDA overlap remain
 
     def test_alignment_idempotent(self, tmp_path):
         d = write_session(tmp_path, "P1", duration=40.0)
         def sample_counts(session):
-            return {name: getattr(session, name).samples.shape[0] for name in CHANNEL_FILES}
+            return {name: session[name].samples.shape[0] for name in CHANNEL_FILES}
 
         counts = sample_counts(assemble_session(d, LABELS))
         assert sample_counts(assemble_session(d, LABELS)) == counts
@@ -332,7 +332,7 @@ class TestAssembleSession:
         with pytest.raises(InsufficientData):
             assemble_session(d, LABELS)
 
-    @pytest.mark.parametrize("pid", ["P,1", "P\n1", "P\r1", "#P1"])
+    @pytest.mark.parametrize("pid", ["P,1", "P\n1", "P\r1", "#P1", "P\x0c1", "P\x851", "P\u20281"])
     def test_id_that_breaks_features_csv_rejected(self, tmp_path, pid):
         d = write_session(tmp_path, pid)
         with pytest.raises(BadParticipantId):
@@ -341,5 +341,4 @@ class TestAssembleSession:
     def test_label_attached(self, tmp_path):
         d = write_session(tmp_path, "P1")
         session = assemble_session(d, LABELS)
-        assert session.label == 1
-        assert session.participant_id == "P1"
+        assert list(session) == list(CHANNEL_FILES)
