@@ -38,7 +38,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .errors import NoSessions, ParamError, ParseError, PhysioBiasError
+from .errors import PhysioBiasError
 from .params import (DEFAULT_SEED, DEFAULT_TOP_N, DEFAULT_WINDOW_SECONDS, EFFECT_LOCATIONS,
                      MIN_SESSION_SECONDS, DecompParams, GbtParams, SynthParams)
 
@@ -175,12 +175,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
     data_dir: Path = args.data_dir
     if not data_dir.is_dir():
-        raise NoSessions(f"{data_dir} is not a directory")
+        raise PhysioBiasError(f"{data_dir} is not a directory")
     session_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())
     if not session_dirs:
-        raise NoSessions(f"no session directories in {data_dir}")
+        raise PhysioBiasError(f"no session directories in {data_dir}")
     if not (math.isfinite(args.min_duration) and args.min_duration >= 0):
-        raise ParamError(f"min_duration must be finite and >= 0, got {args.min_duration}")
+        raise PhysioBiasError(f"min_duration must be finite and >= 0, got {args.min_duration}")
     labels = load_labels(args.labels)
     decomp = DecompParams(
         knot_spacing=args.knot_spacing,
@@ -219,7 +219,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                       f"converge in {record['iterations']} iterations", file=sys.stderr)
 
     if not extracted:
-        raise NoSessions("no usable sessions")
+        raise PhysioBiasError("no usable sessions")
 
     write_csv(args.out / "features.csv", FEATURE_COLUMNS, extracted, meta)
     doc = {"meta": meta, "sessions": diagnostics}
@@ -237,8 +237,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluation import evaluate
 
     if args.folds_parallel != 1:
-        raise ParamError(f"--folds-parallel must be 1 (folds run in one process), "
-                         f"got {args.folds_parallel}")
+        raise PhysioBiasError(f"--folds-parallel must be 1 (folds run in one process), "
+                              f"got {args.folds_parallel}")
     data = from_csv(args.features)
     params = GbtParams(
         depth=args.depth,
@@ -291,17 +291,17 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
     try:
         text = args.input.read_text() if args.input else sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read the sequence: {exc}") from None
+        raise PhysioBiasError(f"cannot read the sequence: {exc}") from None
     bad = re.search(r"[^01,\s]", text)
     if bad:
         at = bad.start()
         line = text.count("\n", 0, at) + 1
         column = at - text.rfind("\n", 0, at)
-        raise ParseError(f"{args.input or '<stdin>'}:{line}:{column}: unexpected character "
-                         f"{bad.group()!r}; a sequence holds only 0, 1, commas and whitespace")
+        raise PhysioBiasError(f"{args.input or '<stdin>'}:{line}:{column}: unexpected character "
+                              f"{bad.group()!r}; a sequence holds only 0, 1, commas and whitespace")
     labels = [int(ch) for ch in text if ch in "01"]
     if not labels:
-        raise ParseError("no 0/1 labels found in input")
+        raise PhysioBiasError("no 0/1 labels found in input")
     smoothed, trace = smooth_with_trace(labels)
     for line in trace:
         print(line)
@@ -333,10 +333,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         lines = _report_lines(json.loads(args.report.read_text()))
     except (OSError, ValueError, RecursionError) as exc:  # undecodable, bad or too deep JSON
-        raise ParseError(f"{args.report}: {exc}") from None
+        raise PhysioBiasError(f"{args.report}: {exc}") from None
     except (KeyError, TypeError, OverflowError) as exc:
-        raise ParseError(f"{args.report}: not a physiobias report "
-                         f"({type(exc).__name__}: {exc})") from None
+        raise PhysioBiasError(f"{args.report}: not a physiobias report "
+                              f"({type(exc).__name__}: {exc})") from None
     print("\n".join(lines))
     return 0
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LabelError, ParseError
+from .errors import PhysioBiasError
 
 
 @dataclass
@@ -56,30 +56,30 @@ def from_csv(path: str | Path) -> Dataset:
     """Read a feature matrix written by write_csv.
 
     Raises:
-        ParseError: an unreadable or undecodable file, or a malformed one:
-            among others, a header with no feature column or with an empty
-            or repeated column name, a repeated (participant, window), or
-            an infinite feature cell (an empty cell is a missing value).
-        LabelError: a label other than 0 or 1, or a participant whose
-            windows carry both labels.
+        PhysioBiasError: an unreadable or undecodable file, or a malformed
+            one: among others, a header with no feature column or with an
+            empty or repeated column name, a repeated (participant, window),
+            an infinite feature cell (an empty cell is a missing value), a
+            label other than 0 or 1, or a participant whose windows carry
+            both labels.
     """
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: cannot read: {exc}") from None
+        raise PhysioBiasError(f"{path}: cannot read: {exc}") from None
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not lines:
-        raise ParseError(f"{path}: empty feature file")
+        raise PhysioBiasError(f"{path}: empty feature file")
     header = lines[0].split(",")
     if header[:3] != ["participant_id", "window_index", "label"]:
-        raise ParseError(f"{path}: unexpected header {header[:3]}")
+        raise PhysioBiasError(f"{path}: unexpected header {header[:3]}")
     columns = header[3:]
     if not columns:
-        raise ParseError(f"{path}: no feature column in the header")
+        raise PhysioBiasError(f"{path}: no feature column in the header")
     for i, name in enumerate(header):
         if not name or name in header[:i]:
-            raise ParseError(f"{path}: empty or repeated column name {name!r} in the header")
+            raise PhysioBiasError(f"{path}: empty or repeated column name {name!r} in the header")
     pids, widx, labels, rows = [], [], [], []
     label_of: dict[str, int] = {}
     windows: set[tuple[str, int]] = set()
@@ -87,34 +87,35 @@ def from_csv(path: str | Path) -> Dataset:
         for ln in lines[1:]:
             cells = ln.split(",")
             if len(cells) != len(header):
-                raise ParseError(f"{path}: data row {len(rows) + 1}: row width {len(cells)} "
-                                 f"!= header width {len(header)}")
+                raise PhysioBiasError(f"{path}: data row {len(rows) + 1}: row width {len(cells)} "
+                                      f"!= header width {len(header)}")
             label = int(cells[2])
             if label_of.setdefault(cells[0], label) != label:
-                raise LabelError(f"{path}: data row {len(rows) + 1}: participant {cells[0]!r} "
-                                 f"has windows labelled {label_of[cells[0]]} and {label}")
+                raise PhysioBiasError(f"{path}: data row {len(rows) + 1}: participant {cells[0]!r} "
+                                      f"has windows labelled {label_of[cells[0]]} and {label}")
             window = (cells[0], int(cells[1]))
             if window in windows:
-                raise ParseError(f"{path}: data row {len(rows) + 1}: participant {cells[0]!r} "
-                                 f"has window {window[1]} twice")
+                raise PhysioBiasError(f"{path}: data row {len(rows) + 1}: participant {cells[0]!r} "
+                                      f"has window {window[1]} twice")
             windows.add(window)
             pids.append(cells[0])
             widx.append(window[1])
             labels.append(label)
             rows.append([float(c) if c else np.nan for c in cells[3:]])
     except ValueError as exc:
-        raise ParseError(f"{path}: data row {len(rows) + 1}: {exc}") from None
+        raise PhysioBiasError(f"{path}: data row {len(rows) + 1}: {exc}") from None
     for pid, label in label_of.items():
         if not pid:
-            raise ParseError(f"{path}: row with empty participant_id")
+            raise PhysioBiasError(f"{path}: row with empty participant_id")
         if label not in (0, 1):
-            raise LabelError(f"{path}: participant {pid!r} has label {label}; labels must be 0 or 1")
+            raise PhysioBiasError(f"{path}: participant {pid!r} has label {label}; "
+                                  "labels must be 0 or 1")
     X = np.asarray(rows, dtype=float).reshape(len(rows), len(columns))
     infinite = np.argwhere(np.isinf(X))
     if infinite.size:
         row, col = infinite[0]
-        raise ParseError(f"{path}: data row {row + 1}: column {columns[col]!r} "
-                         f"holds an infinite value")
+        raise PhysioBiasError(f"{path}: data row {row + 1}: column {columns[col]!r} "
+                              f"holds an infinite value")
     return Dataset(
         X=X,
         y=np.asarray(labels, dtype=int),

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InsufficientData, ParamError
+from .errors import PhysioBiasError
 from .params import DecompParams
 from .signals import Signal
 
@@ -91,7 +91,7 @@ def phasic_kernel(rate: float, n: int) -> np.ndarray:
     normalized to peak 1. h(0) = 0."""
     length = min(n, int(round(_KERNEL_SECONDS * rate)))
     if rate <= 0 or length < 1:
-        raise ParamError("rate must be > 0 and length >= 1")
+        raise PhysioBiasError("rate must be > 0 and length >= 1")
     t = np.arange(length) / rate
     h = np.exp(-t / _TAU0) - np.exp(-t / _TAU1)
     peak = h.max()
@@ -141,8 +141,8 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
     the features window the components afterwards.
 
     Raises:
-        ParamError: knot spacing shorter than one sample period.
-        InsufficientData: signal shorter than 4 knot spacings.
+        PhysioBiasError: knot spacing shorter than one sample period, or
+            signal shorter than 4 knot spacings.
     """
     from scipy.linalg import cholesky_banded
     from scipy.linalg.lapack import dpbtrs
@@ -152,12 +152,12 @@ def decompose(eda: Signal, params: DecompParams | None = None) -> EdaComponents:
     n = y.size
     rate = eda.rate
     if params.knot_spacing * rate < 1:
-        raise ParamError(
+        raise PhysioBiasError(
             f"knot_spacing {params.knot_spacing:g} s is shorter than one sample at {rate:g} Hz"
         )
     min_len = np.floor(4 * params.knot_spacing * rate)  # a float: inf past the float range
     if n < min_len:
-        raise InsufficientData(
+        raise PhysioBiasError(
             f"EDA too short to decompose: {n} samples < {min_len:g} "
             f"(4 knot spacings at {rate:g} Hz)"
         )

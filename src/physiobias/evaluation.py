@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateLabels, InsufficientData, ParamError
+from .errors import PhysioBiasError
 from .gbt import GbtParams, SortedColumns, importance, predict_proba_matrix, presort, train
 from .params import DEFAULT_SEED, DEFAULT_TOP_N
 from .smoothing import final_label, majority_window_location, smooth, location_summary
@@ -41,11 +41,11 @@ def lopo_folds(data: Dataset) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """One (train_rows, test_rows, participant) triple per participant.
 
     Raises:
-        InsufficientData: fewer than two participants.
+        PhysioBiasError: fewer than two participants.
     """
     ids, _, codes = _participants(data)
     if ids.size < 2:
-        raise InsufficientData("leave-one-participant-out needs >= 2 participants")
+        raise PhysioBiasError("leave-one-participant-out needs >= 2 participants")
     return [(np.flatnonzero(codes != k), np.flatnonzero(codes == k), pid)
             for k, pid in enumerate(ids)]
 
@@ -56,11 +56,11 @@ def oversample_weights(y: np.ndarray, seed: int) -> np.ndarray:
     replacement, one draw per missing row) picks it.
 
     Raises:
-        DegenerateLabels: a single class in the data.
+        PhysioBiasError: a single class in the data.
     """
     counts = {cls: int(np.sum(y == cls)) for cls in (0, 1)}
     if counts[0] == 0 or counts[1] == 0:
-        raise DegenerateLabels("oversampling needs both classes present")
+        raise PhysioBiasError("oversampling needs both classes present")
     weights = np.ones(y.size, dtype=np.int64)
     if counts[0] == counts[1]:
         return weights
@@ -187,7 +187,7 @@ def group_difference(data: Dataset) -> list[dict]:
     participants with a value."""
     ids, labels, codes = _participants(data)
     if np.sum(labels == 1) < 2 or np.sum(labels == 0) < 2:
-        raise InsufficientData("group statistics need >= 2 participants per group")
+        raise PhysioBiasError("group statistics need >= 2 participants per group")
 
     # means[k, j]: participant k's mean of feature j over its non-NaN windows.
     means = np.full((ids.size, len(data.column_names)), np.nan)
@@ -224,21 +224,20 @@ def evaluate(
     JSON values, per-class metrics keyed "1" and "0", one summary per fold.
 
     Raises:
-        ParamError: top_n below 1, a negative seed or a non-finite
-            importance_threshold.
-        InsufficientData: fewer than two participants in either class, so
-            that some fold would train on one class.
+        PhysioBiasError: top_n below 1, a negative seed, a non-finite
+            importance_threshold, or fewer than two participants in either
+            class, so that some fold would train on one class.
     """
     if top_n < 1:
-        raise ParamError(f"top_n must be >= 1, got {top_n}")
+        raise PhysioBiasError(f"top_n must be >= 1, got {top_n}")
     if seed < 0:
-        raise ParamError(f"seed must be >= 0, got {seed}")
+        raise PhysioBiasError(f"seed must be >= 0, got {seed}")
     if importance_threshold is not None and not math.isfinite(importance_threshold):
-        raise ParamError(f"importance_threshold must be finite, got {importance_threshold}")
+        raise PhysioBiasError(f"importance_threshold must be finite, got {importance_threshold}")
     _, labels, _ = _participants(data)
     n_biased, n_unbiased = int(np.sum(labels == 1)), int(np.sum(labels == 0))
     if n_biased < 2 or n_unbiased < 2:
-        raise InsufficientData(
+        raise PhysioBiasError(
             f"evaluation needs >= 2 participants per class, got {n_biased} biased "
             f"and {n_unbiased} unbiased"
         )

@@ -25,7 +25,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .eda import DecompParams, EdaComponents, decompose
-from .errors import InsufficientData
+from .errors import PhysioBiasError
 from .signals import DEFAULT_WINDOW_SECONDS, Signal, magnitude, window_matrices
 
 STAT_FEATURES = (
@@ -63,7 +63,7 @@ def stat_columns(X: np.ndarray, rate: float) -> np.ndarray:
     STAT_FEATURES order. `rate` is unused here; the signature is shared with
     the other feature groups."""
     if X.shape[1] < 2:
-        raise InsufficientData(f"need >= 2 samples for statistics, got {X.shape[1]}")
+        raise PhysioBiasError(f"need >= 2 samples for statistics, got {X.shape[1]}")
     q1, q3 = np.percentile(X, [25.0, 75.0], axis=1)
     mean = X.mean(axis=1)
     dx = np.diff(X, axis=1)
@@ -85,7 +85,7 @@ def extra_columns(X: np.ndarray, rate: float) -> np.ndarray:
     skewness/kurtosis are NaN on zero variance."""
     n = X.shape[1]
     if n < 4:
-        raise InsufficientData(f"need >= 4 samples for waveform features, got {n}")
+        raise PhysioBiasError(f"need >= 4 samples for waveform features, got {n}")
     dev = X - X.mean(axis=1, keepdims=True)
     m2 = (dev * dev).mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -111,7 +111,7 @@ def eda_extra_columns(X: np.ndarray, rate: float) -> np.ndarray:
     """Trapezoid area (sample spacing 1/rate) and the largest strict peak of
     each row, (n, 2); max_peak is NaN for a row without a peak."""
     if X.shape[1] < 2:
-        raise InsufficientData(f"need >= 2 samples for auc, got {X.shape[1]}")
+        raise PhysioBiasError(f"need >= 2 samples for auc, got {X.shape[1]}")
     peaks = _peak_mask(X)
     max_peak = np.where(peaks, X[:, 1:-1], -np.inf).max(axis=1, initial=-np.inf)
     max_peak[~peaks.any(axis=1)] = np.nan
@@ -129,9 +129,9 @@ def detect_beats(bvp: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
     """
     bvp = np.asarray(bvp, dtype=float)
     if rate < 32:
-        raise InsufficientData(f"BVP rate {rate:g} Hz is below 32 Hz")
+        raise PhysioBiasError(f"BVP rate {rate:g} Hz is below 32 Hz")
     if bvp.size < rate:
-        raise InsufficientData("need at least 1 s of BVP samples")
+        raise PhysioBiasError("need at least 1 s of BVP samples")
     threshold = bvp.mean() + BEAT_THRESHOLD_FRACTION * (bvp.max() - bvp.mean())
     candidates = [i for i in np.flatnonzero(_peak_mask(bvp)) + 1 if bvp[i] > threshold]
     accepted: list[int] = []
@@ -262,9 +262,8 @@ def extract_session_features(
     components.
 
     Raises:
-        ParamError: window_seconds is not a whole number of samples on some
-            channel.
-        InsufficientData: the session is shorter than one window, or a
+        PhysioBiasError: window_seconds is not a whole number of samples on
+            some channel, the session is shorter than one window, or a
             window holds too few samples for a feature.
     """
     eda = session["eda"]

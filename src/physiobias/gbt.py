@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateLabels, ShapeError
+from .errors import PhysioBiasError
 from .params import GbtParams
 
 
@@ -251,21 +251,33 @@ def _build_tree(
     cols: SortedColumns,
     params: GbtParams,
 ) -> Tree:
-    """Grow one tree over its member rows (ascending), presorted in cols."""
-    nodes: list[list] = []  # feature, threshold, missing_left, gain, weight, left, right
+    """Grow one tree over its member rows (ascending), presorted in cols.
 
-    def grow(members: np.ndarray, cols: SortedColumns | None, depth: int) -> int:
-        """Append the node over members, then its subtree; return the node's
-        index. cols is None for a node at full depth, which never searches."""
+    Nodes are numbered in pre-order from an explicit stack, so no depth
+    exhausts the interpreter's recursion limit: a split node's left child is
+    the next node, and its right child, popped after the left subtree, writes
+    its own index into the parent. cols is None for a node at full depth,
+    which never searches. A node whose hessian sum plus reg_lambda is 0
+    (every row saturated, no regularization) has no Newton step; it is a
+    leaf of weight 0.
+    """
+    nodes: list[list] = []  # feature, threshold, missing_left, gain, weight, left, right
+    # (members, cols, depth, the parent whose right child this node is, or -1)
+    stack = [(members, cols, 0, -1)]
+    while stack:
+        members, cols, depth, parent = stack.pop()
         at = len(nodes)
+        if parent >= 0:
+            nodes[parent][6] = at
         g_tot = float(gw[members].sum())
         h_tot = float(hw[members].sum())
-        nodes.append([-1, 0.0, True, 0.0, -g_tot / (h_tot + params.reg_lambda), at, at])
-        if depth >= params.depth or members.size < 2:
-            return at
+        denominator = h_tot + params.reg_lambda
+        nodes.append([-1, 0.0, True, 0.0, -g_tot / denominator if denominator else 0.0, at, at])
+        if depth >= params.depth or members.size < 2 or not denominator:
+            continue
         split = _search(cols, gw, hw, g_tot, h_tot, params.reg_lambda, params.min_child_weight)
         if split is None:
-            return at
+            continue
         v = X[members, split.feature]
         go_left = np.where(np.isnan(v), split.missing_left, v < split.threshold)
         left, right = members[go_left], members[~go_left]
@@ -277,11 +289,9 @@ def _build_tree(
             left_cols = _take(cols, mask, left.size)
             right_cols = _take(cols, ~mask, right.size)
         nodes[at][:4] = split.feature, split.threshold, split.missing_left, split.gain
-        nodes[at][5] = grow(left, left_cols, depth + 1)
-        nodes[at][6] = grow(right, right_cols, depth + 1)
-        return at
-
-    grow(members, cols, 0)
+        nodes[at][5] = at + 1
+        stack.append((right, right_cols, depth + 1, at))
+        stack.append((left, left_cols, depth + 1, -1))
     return Tree(*map(np.array, zip(*nodes)))
 
 
@@ -313,7 +323,7 @@ def train(
     many times; sorted here when not given.
 
     Raises:
-        DegenerateLabels: only one class among the weighted rows.
+        PhysioBiasError: only one class among the weighted rows.
     """
     params = params or GbtParams()
     X, y = data.X, data.y.astype(float)
@@ -321,7 +331,7 @@ def train(
     w = np.ones(n, dtype=np.int64) if weights is None else np.asarray(weights, dtype=np.int64)
     members = np.flatnonzero(w)
     if np.unique(data.y[members]).size < 2:
-        raise DegenerateLabels("training data must contain both classes")
+        raise PhysioBiasError("training data must contain both classes")
     if sorted_columns is None:
         sorted_columns = presort(X)
     if members.size < n:
@@ -355,7 +365,7 @@ def predict_margin(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Raw additive score for a matrix of rows."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ShapeError(
+        raise PhysioBiasError(
             f"expected rows of width {model.n_features}, got shape {X.shape}"
         )
     margin = np.full(X.shape[0], model.base_score)

@@ -14,23 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadParticipantId,
-    EmptySignal,
-    InsufficientData,
-    LabelError,
-    MissingChannel,
-    ParseError,
-)
+from .errors import PhysioBiasError
 from .params import MIN_SESSION_SECONDS
-from .signals import Signal
+from .signals import MAX_ABS_SAMPLE, Signal
 
 # Empatica convention; the device stores acceleration as signed counts.
 ACC_COUNTS_PER_G = 64.0
 
 # Physically plausible sample ranges of the E4 sensors, (low, high, unit) in
 # the parsed units; EDA keeps 0, which lost skin contact reads. BVP and HR
-# have no range.
+# have no range, only Signal's bound of MAX_ABS_SAMPLE in magnitude.
 PLAUSIBLE_RANGES = {
     "EDA": (0.0, 100.0, "uS"),
     "ACC": (-2.0, 2.0, "g"),
@@ -69,15 +62,16 @@ IAT_CATEGORIES = (
 def _parse_header_line(line: str, path: Path, lineno: int, ncols: int) -> float:
     parts = [p.strip() for p in line.split(",")]
     if len(parts) != ncols:
-        raise ParseError(f"{path}:{lineno}: expected {ncols} header value(s), got {len(parts)}")
+        raise PhysioBiasError(f"{path}:{lineno}: expected {ncols} header value(s), "
+                              f"got {len(parts)}")
     try:
         values = [float(p) for p in parts]
     except ValueError:
-        raise ParseError(f"{path}:{lineno}: non-numeric header {line!r}") from None
+        raise PhysioBiasError(f"{path}:{lineno}: non-numeric header {line!r}") from None
     if any(v != values[0] for v in values[1:]):
-        raise ParseError(f"{path}:{lineno}: per-axis header values differ: {line!r}")
+        raise PhysioBiasError(f"{path}:{lineno}: per-axis header values differ: {line!r}")
     if not np.isfinite(values[0]):
-        raise ParseError(f"{path}:{lineno}: non-finite header value {line!r}")
+        raise PhysioBiasError(f"{path}:{lineno}: non-finite header value {line!r}")
     return values[0]
 
 
@@ -105,16 +99,16 @@ def _is_number(field: str) -> bool:
     return True
 
 
-def _bad_row(path: Path, ncols: int, reason: str) -> ParseError:
+def _bad_row(path: Path, ncols: int, reason: str) -> PhysioBiasError:
     """The error for the first data line that loadtxt cannot read as ncols
     numbers, or, if none, for the file with loadtxt's reason."""
     for lineno, line in _data_lines(path):
         parts = line.split(",")
         if len(parts) != ncols:
-            return ParseError(f"{path}:{lineno}: expected {ncols} column(s), got {len(parts)}")
+            return PhysioBiasError(f"{path}:{lineno}: expected {ncols} column(s), got {len(parts)}")
         if not all(map(_is_number, parts)):
-            return ParseError(f"{path}:{lineno}: non-numeric row {line!r}")
-    return ParseError(f"{path}: {reason}")
+            return PhysioBiasError(f"{path}:{lineno}: non-numeric row {line!r}")
+    return PhysioBiasError(f"{path}: {reason}")
 
 
 def parse_e4_csv(path: str | Path, channel: str) -> Signal:
@@ -135,13 +129,12 @@ def parse_e4_csv(path: str | Path, channel: str) -> Signal:
         ACC_COUNTS_PER_G).
 
     Raises:
-        ParseError: unreadable or undecodable file, malformed header,
-            non-numeric row, wrong column count, non-finite sample, or a
-            sample outside the channel's PLAUSIBLE_RANGES (with line number
-            and channel).
-        EmptySignal: header present but no data rows.
-        SignalError: a BVP or HR sample at or above signals.MAX_ABS_SAMPLE
-            in magnitude.
+        PhysioBiasError: unreadable or undecodable file, malformed header,
+            header but no data rows, non-numeric row, wrong column count, or
+            a sample that is not finite, lies outside the channel's
+            PLAUSIBLE_RANGES, or (BVP, HR) is not below
+            signals.MAX_ABS_SAMPLE in magnitude, each with its line number
+            and channel.
     """
     path = Path(path)
     channel = channel.upper()
@@ -153,35 +146,38 @@ def parse_e4_csv(path: str | Path, channel: str) -> Signal:
         with path.open() as fh:
             header = [fh.readline(), fh.readline()]
             if not header[1]:
-                raise ParseError(f"{path}: file has no header (need timestamp and rate lines)")
+                raise PhysioBiasError(f"{path}: file has no header (need timestamp and rate lines)")
             start_time = _parse_header_line(header[0].rstrip("\n"), path, 1, ncols)
             rate = _parse_header_line(header[1].rstrip("\n"), path, 2, ncols)
             if rate <= 0:
-                raise ParseError(f"{path}:2: sample rate must be > 0, got {rate}")
+                raise PhysioBiasError(f"{path}:2: sample rate must be > 0, got {rate}")
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: cannot read: {exc}") from None
+        raise PhysioBiasError(f"{path}: cannot read: {exc}") from None
     except ValueError as exc:
         raise _bad_row(path, ncols, str(exc)) from None
     if data.size == 0:
-        raise EmptySignal(f"{path}: no data rows")
+        raise PhysioBiasError(f"{path}: no data rows")
     if data.shape[1] != ncols:  # every row one width, but not the channel's
         raise _bad_row(path, ncols, f"expected {ncols} column(s)")
 
     if channel == "ACC":
         data /= ACC_COUNTS_PER_G
     lo, hi, unit = PLAUSIBLE_RANGES.get(channel, (-np.inf, np.inf, ""))
-    bad = ~(np.isfinite(data) & (data >= lo) & (data <= hi))
+    bad = ~((np.abs(data) < MAX_ABS_SAMPLE) & (data >= lo) & (data <= hi))
     if bad.any():
         row, col = np.argwhere(bad)[0]
         value = data[row, col]
         lineno = next(islice(_data_lines(path), row, None))[0]
         if not np.isfinite(value):
-            raise ParseError(f"{path}:{lineno}: non-finite {channel} sample")
-        raise ParseError(f"{path}:{lineno}: {channel} sample {value:g} {unit} is outside "
-                         f"the plausible range [{lo:g}, {hi:g}] {unit}")
+            raise PhysioBiasError(f"{path}:{lineno}: non-finite {channel} sample")
+        if channel not in PLAUSIBLE_RANGES:
+            raise PhysioBiasError(f"{path}:{lineno}: {channel} sample {value:g} is not below "
+                                  f"{MAX_ABS_SAMPLE:g} in magnitude")
+        raise PhysioBiasError(f"{path}:{lineno}: {channel} sample {value:g} {unit} is outside "
+                              f"the plausible range [{lo:g}, {hi:g}] {unit}")
     return Signal(start_time=start_time, rate=rate, samples=data if ncols == 3 else data[:, 0])
 
 
@@ -214,25 +210,25 @@ def map_iat_category(category: str) -> int:
     are unbiased. Matching is case-insensitive on the leading token.
 
     Raises:
-        LabelError: token outside the IAT vocabulary.
+        PhysioBiasError: token outside the IAT vocabulary.
     """
     tokens = category.strip().split()
     if not tokens:
-        raise LabelError("empty IAT category")
+        raise PhysioBiasError("empty IAT category")
     head = tokens[0].lower()
     if head in _BIASED_TOKENS:
         return 1
     if head in _UNBIASED_TOKENS:
         return 0
-    raise LabelError(f"unrecognized IAT category {category!r}")
+    raise PhysioBiasError(f"unrecognized IAT category {category!r}")
 
 
 def load_labels(path: str | Path) -> dict[str, int]:
     """Read the labels CSV (header: participant_id,iat_category).
 
     Raises:
-        ParseError: unreadable or undecodable file, or a bad header or row.
-        LabelError: a duplicate participant or an unknown IAT category.
+        PhysioBiasError: unreadable or undecodable file, a bad header or
+            row, a duplicate participant or an unknown IAT category.
     """
     path = Path(path)
     try:
@@ -241,16 +237,16 @@ def load_labels(path: str | Path) -> dict[str, int]:
             fieldnames = reader.fieldnames
             rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ParseError(f"{path}: cannot read: {exc}") from None
+        raise PhysioBiasError(f"{path}: cannot read: {exc}") from None
     if fieldnames is None or not {"participant_id", "iat_category"} <= set(fieldnames):
-        raise ParseError(f"{path}: expected header 'participant_id,iat_category'")
+        raise PhysioBiasError(f"{path}: expected header 'participant_id,iat_category'")
     labels: dict[str, int] = {}
     for row in rows:
         pid = (row["participant_id"] or "").strip()
         if not pid:
-            raise ParseError(f"{path}: row with empty participant_id")
+            raise PhysioBiasError(f"{path}: row with empty participant_id")
         if pid in labels:
-            raise LabelError(f"{path}: duplicate label for participant {pid!r}")
+            raise PhysioBiasError(f"{path}: duplicate label for participant {pid!r}")
         labels[pid] = map_iat_category(row["iat_category"] or "")
     return labels
 
@@ -261,7 +257,7 @@ def _trim(sig: Signal, t0: float, t1: float) -> Signal:
     i0 = max(0, int(np.ceil((t0 - sig.start_time) * sig.rate - 1e-9)))
     i1 = min(n, int(np.ceil((t1 - sig.start_time) * sig.rate - 1e-9)))
     if i1 <= i0:
-        raise InsufficientData("signal does not overlap the common interval")
+        raise PhysioBiasError("signal does not overlap the common interval")
     return Signal(
         start_time=sig.start_time + i0 / sig.rate,
         rate=sig.rate,
@@ -282,35 +278,34 @@ def assemble_session(
     must have a label in `labels`.
 
     Raises:
-        BadParticipantId: the directory name holds a comma or any character
+        PhysioBiasError: the directory name holds a comma or any character
             at which str.splitlines breaks a line, or starts with '#', any
-            of which would break features.csv.
-        MissingChannel: a channel file is absent.
-        LabelError: the participant has no label.
-        InsufficientData: the common interval is shorter than min_duration.
+            of which would break features.csv; the participant has no
+            label; a channel file is absent or does not parse; or the
+            common interval is shorter than min_duration.
     """
     session_dir = Path(session_dir)
     participant_id = session_dir.name
     if ("," in participant_id or participant_id.startswith("#")
             or participant_id.splitlines() != [participant_id]):
-        raise BadParticipantId(
+        raise PhysioBiasError(
             f"participant id {participant_id!r} holds a comma or line break, "
             "or starts with '#', which features.csv cannot carry"
         )
     if participant_id not in labels:
-        raise LabelError(f"no label for participant {participant_id!r}")
+        raise PhysioBiasError(f"no label for participant {participant_id!r}")
 
     parsed: dict[str, Signal] = {}
     for name, filename in CHANNEL_FILES.items():
         fpath = session_dir / filename
         if not fpath.exists():
-            raise MissingChannel(f"{participant_id}: missing {filename}")
+            raise PhysioBiasError(f"{participant_id}: missing {filename}")
         parsed[name] = parse_e4_csv(fpath, filename.removesuffix(".csv"))
 
     t0 = max(s.start_time for s in parsed.values())
     t1 = min(s.end_time for s in parsed.values())
     if t1 - t0 < min_duration:
-        raise InsufficientData(
+        raise PhysioBiasError(
             f"{participant_id}: common interval {max(t1 - t0, 0.0):.1f}s "
             f"is below the {min_duration:.0f}s minimum"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParamError
+from .errors import PhysioBiasError
 
 # The window length of `extract` and of the features.
 DEFAULT_WINDOW_SECONDS = 5.0
@@ -46,11 +46,11 @@ class DecompParams:
 
     def __post_init__(self) -> None:
         if not 0 < self.knot_spacing < math.inf:
-            raise ParamError("knot_spacing must be > 0 and finite")
+            raise PhysioBiasError("knot_spacing must be > 0 and finite")
         if not all(0 < v < math.inf for v in (self.alpha, self.gamma, self.tol)):
-            raise ParamError("alpha, gamma and tol must be > 0 and finite")
+            raise PhysioBiasError("alpha, gamma and tol must be > 0 and finite")
         if self.max_iter < 1:
-            raise ParamError("max_iter must be >= 1")
+            raise PhysioBiasError("max_iter must be >= 1")
 
 
 @dataclass
@@ -63,11 +63,11 @@ class GbtParams:
 
     def __post_init__(self) -> None:
         if self.depth < 1 or self.rounds < 0:
-            raise ParamError("depth must be >= 1 and rounds >= 0")
+            raise PhysioBiasError("depth must be >= 1 and rounds >= 0")
         if not (0 < self.learning_rate <= 1):
-            raise ParamError("learning_rate must be in (0, 1]")
+            raise PhysioBiasError("learning_rate must be in (0, 1]")
         if not (self.reg_lambda >= 0 and self.min_child_weight >= 0):
-            raise ParamError("reg_lambda and min_child_weight must be >= 0")
+            raise PhysioBiasError("reg_lambda and min_child_weight must be >= 0")
 
 
 @dataclass
@@ -80,15 +80,16 @@ class SynthParams:
 
     def __post_init__(self) -> None:
         if self.participants_per_class < 1:
-            raise ParamError(f"participants_per_class must be >= 1, got {self.participants_per_class}")
+            raise PhysioBiasError(f"participants_per_class must be >= 1, "
+                                  f"got {self.participants_per_class}")
         if not 0 < self.session_seconds <= MAX_SESSION_SECONDS:
-            raise ParamError(f"session_seconds must be positive and at most "
-                             f"{MAX_SESSION_SECONDS:g} (48 h), got {self.session_seconds}")
+            raise PhysioBiasError(f"session_seconds must be positive and at most "
+                                  f"{MAX_SESSION_SECONDS:g} (48 h), got {self.session_seconds}")
         if not 0 <= self.effect_size <= MAX_EFFECT_SIZE:
-            raise ParamError(f"effect_size must be >= 0 and at most {MAX_EFFECT_SIZE:g}, "
-                             f"got {self.effect_size}")
+            raise PhysioBiasError(f"effect_size must be >= 0 and at most {MAX_EFFECT_SIZE:g}, "
+                                  f"got {self.effect_size}")
         if self.effect_location not in EFFECT_LOCATIONS:
-            raise ParamError(f"effect_location must be one of {EFFECT_LOCATIONS}, "
-                             f"got {self.effect_location!r}")
+            raise PhysioBiasError(f"effect_location must be one of {EFFECT_LOCATIONS}, "
+                                  f"got {self.effect_location!r}")
         if self.seed < 0:
-            raise ParamError(f"seed must be >= 0, got {self.seed}")
+            raise PhysioBiasError(f"seed must be >= 0, got {self.seed}")

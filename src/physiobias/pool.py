@@ -8,7 +8,7 @@ the caller set in code (a test's `error::RuntimeWarning`, say) acts in the
 workers as in the caller, and each worker ends itself as soon as the
 caller's process is gone, however it died. A worker that dies itself
 (killed, say, or out of memory) breaks the pool; the pool raises that as a
-WorkerDied, which `cli.main` reports like any PhysioBiasError.
+PhysioBiasError, which `cli.main` reports like any other.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
-from .errors import WorkerDied
+from .errors import PhysioBiasError
 
 
 def _exit_with_parent(sentinel: int) -> None:
@@ -48,4 +48,4 @@ def spawn_pool(tasks: int) -> Iterator[ProcessPoolExecutor]:
         ) as pool:
             yield pool
     except BrokenProcessPool as exc:
-        raise WorkerDied(str(exc)) from None
+        raise PhysioBiasError(str(exc)) from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, ParamError, SignalError
+from .errors import PhysioBiasError
 from .params import DEFAULT_WINDOW_SECONDS
 
 MAX_ABS_SAMPLE = 1e75
@@ -39,16 +39,16 @@ class Signal:
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=float)
         if not self.rate > 0:
-            raise SignalError(f"rate must be > 0, got {self.rate}")
+            raise PhysioBiasError(f"rate must be > 0, got {self.rate}")
         triaxial = self.samples.shape[1:] == (3,)
         if not (self.samples.ndim == 1 or triaxial) or self.samples.size < 1:
-            raise SignalError("samples must be a non-empty (N,) or (N, 3) array")
+            raise PhysioBiasError("samples must be a non-empty (N,) or (N, 3) array")
         # Half the bound per axis keeps every row's norm (at most sqrt(3)
         # times its largest axis) below it, so magnitude() is a valid Signal.
         bound = MAX_ABS_SAMPLE / 2 if triaxial else MAX_ABS_SAMPLE
         # A NaN fails both comparisons.
         if not -bound < self.samples.min() <= self.samples.max() < bound:
-            raise SignalError(f"samples must be finite and below {bound:g} in magnitude")
+            raise PhysioBiasError(f"samples must be finite and below {bound:g} in magnitude")
 
     @property
     def duration(self) -> float:
@@ -70,13 +70,13 @@ def samples_per_window(rate: float, window_seconds: float) -> int:
     instants only if rate * window_seconds is a whole number of samples.
 
     Raises:
-        ParamError: rate * window_seconds is not a positive integer (within
-            1e-9), e.g. 2.5 s windows on the 1 Hz HR channel.
+        PhysioBiasError: rate * window_seconds is not a positive integer
+            (within 1e-9), e.g. 2.5 s windows on the 1 Hz HR channel.
     """
     exact = rate * window_seconds
     spw = int(round(exact)) if np.isfinite(exact) else 0
     if spw < 1 or abs(exact - spw) > 1e-9:
-        raise ParamError(
+        raise PhysioBiasError(
             f"{window_seconds:g} s windows hold {exact:g} samples at {rate:g} Hz; "
             "need a positive whole number of samples per window on every channel"
         )
@@ -95,10 +95,9 @@ def window_matrices(
     interval (within one sample period per channel).
 
     Raises:
-        ParamError: a channel's rate times window_seconds is not a positive
-            whole number of samples.
-        SignalError: the channels do not start together.
-        InsufficientData: if the session is shorter than one window.
+        PhysioBiasError: a channel's rate times window_seconds is not a
+            positive whole number of samples, the channels do not start
+            together, or the session is shorter than one window.
     """
     if not channels:
         raise ValueError("no channels to window")
@@ -108,12 +107,12 @@ def window_matrices(
     max_period = max(1.0 / s.rate for s in sigs)
     for s in sigs:
         if abs(s.start_time - start) > max_period:
-            raise SignalError("channels are not aligned: start times differ")
+            raise PhysioBiasError("channels are not aligned: start times differ")
 
     spw = {name: samples_per_window(s.rate, window_seconds) for name, s in channels.items()}
     n_windows = min(s.samples.size // spw[name] for name, s in channels.items())
     if n_windows < 1:
-        raise InsufficientData(
+        raise PhysioBiasError(
             f"session shorter than one {window_seconds}s window "
             f"(min duration {min(s.duration for s in sigs):.2f}s)"
         )

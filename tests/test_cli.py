@@ -17,7 +17,7 @@ import pytest
 import physiobias
 from physiobias.cli import main
 from physiobias.dataset import from_csv
-from physiobias.errors import InsufficientData
+from physiobias.errors import PhysioBiasError
 from physiobias.evaluation import evaluate
 from physiobias.ingest import assemble_session, load_labels, parse_e4_csv
 from physiobias.pool import spawn_pool
@@ -553,7 +553,7 @@ class TestCheckOrder:
         session = assemble_session(corpus / "sessions" / "P001", load_labels(corpus / "labels.csv"))
         with monkeypatch.context() as patch:
             patch.setattr(features, "decompose", no_solve)
-            with pytest.raises(InsufficientData, match="need >= 2 samples for statistics, got 1"):
+            with pytest.raises(PhysioBiasError, match="need >= 2 samples for statistics, got 1"):
                 features.extract_session_features(session, window_seconds=1)
         assert run_extract(corpus, tmp_path, ("--window-seconds", "1")) == 2
         err = capsys.readouterr().err
@@ -769,6 +769,18 @@ _label_two = _features_with(
                                    for row in rows]))
 
 
+def _features_of(values, *flags):
+    """A case that evaluates a one-feature features.csv, `values` mapping
+    each (participant, label) to its windows' f0 values, with `flags`."""
+    def build(corpus, features, tmp):
+        path = tmp / "features.csv"
+        rows = [f"{pid},{w},{label},{v!r}" for (pid, label), column in values.items()
+                for w, v in enumerate(column)]
+        path.write_text("\n".join(["participant_id,window_index,label,f0", *rows]) + "\n")
+        return ["evaluate", "--features", str(path), "--out", str(tmp / "out"), *flags]
+    return build
+
+
 def _report_of(text):
     def build(corpus, features, tmp):
         path = tmp / "report.json"
@@ -891,6 +903,29 @@ CONTRACT = [
      "data row 4: participant 'P001' has windows labelled"),
     ("evaluate-one-participant-per-class", lambda c, f, t: _evaluate_args(f, t / "out"),
      "needs >= 2 participants per class, got 1 biased and 1 unbiased"),
+    # 1,500 windows each, f0 the row's place with the four interleaved: a
+    # tree deeper than the interpreter's recursion limit
+    ("evaluate-tree-deeper-than-the-recursion-limit",
+     _features_of({(pid, label): [4.0 * w + j for w in range(1500)]
+                   for j, (pid, label) in enumerate([("P1", 1), ("P3", 0), ("P2", 1), ("P4", 0)])},
+                  "--depth", "100000", "--rounds", "1", "--min-child-weight", "0",
+                  "--reg-lambda", "0"),
+     None),
+    # saturated rows have a hessian of exactly 0: a node over them alone has
+    # no Newton step without reg_lambda
+    ("evaluate-node-of-zero-hessian",
+     _features_of({(pid, label): [10.0 * label + 0.1 * w + k for w in range(10)]
+                   for k, (pid, label) in enumerate([("A", 1), ("B", 1), ("C", 0), ("D", 0)])},
+                  "--rounds", "60", "--learning-rate", "1", "--reg-lambda", "0",
+                  "--min-child-weight", "0", "--depth", "2"),
+     None),
+    # Line 1923 of BVP.csv and line 33 of HR.csv are 30 s in.
+    ("extract-bvp-sample-1e76", _p001_file("BVP.csv", _line(1923, "1e76")),
+     "skipping P001: <tmp>/sessions/P001/BVP.csv:1923: BVP sample 1e+76 is not below 1e+75 "
+     "in magnitude"),
+    ("extract-hr-sample-minus-1e75", _p001_file("HR.csv", _line(33, "-1e75")),
+     "skipping P001: <tmp>/sessions/P001/HR.csv:33: HR sample -1e+75 is not below 1e+75 "
+     "in magnitude"),
     ("smooth-label-2", _smooth_of("0 1 2 1 0\n"), "seq.txt:1:5: unexpected character '2'"),
     ("smooth-negative-label", _smooth_of("0,-1,0\n"), "seq.txt:1:3: unexpected character '-'"),
     ("report-on-a-list", _report_of("[]"), "not a physiobias report"),
@@ -923,7 +958,11 @@ def test_error_contract(two_session_corpus, tmp_path, capsys, build, reason):
     assert multiprocessing.active_children() == []
     err = capsys.readouterr().err.replace(str(tmp_path), "<tmp>")
     errors = [ln for ln in err.splitlines() if ln.startswith("error: ")]
-    if reason.startswith("skipping "):
+    if reason is None:  # handled: a report that strict JSON reads
+        assert rc == 0 and not errors, err
+        json.loads((tmp_path / "out" / "report.json").read_text(),
+                   parse_constant=lambda name: pytest.fail(f"{name} in report.json"))
+    elif reason.startswith("skipping "):
         assert rc == 1, err
         assert reason in err and not errors, err
         data = from_csv(tmp_path / "out" / "features.csv")

@@ -13,7 +13,7 @@ from physiobias.eda import (
     dump_components_csv,
     phasic_kernel,
 )
-from physiobias.errors import InsufficientData, ParamError
+from physiobias.errors import PhysioBiasError
 from physiobias.signals import Signal
 
 RATE = 4.0
@@ -59,15 +59,16 @@ class TestBatemanKernel:
 
 class TestDecompParams:
     def test_validation(self):
-        with pytest.raises(ParamError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("alpha, gamma and tol must be > 0 and finite")):
             DecompParams(alpha=0.0)
-        with pytest.raises(ParamError):
+        with pytest.raises(PhysioBiasError, match=re.escape("knot_spacing must be > 0 and finite")):
             DecompParams(knot_spacing=-1.0)
 
     @pytest.mark.parametrize("name", ["knot_spacing", "alpha", "gamma", "tol"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_rejected(self, name, value):
-        with pytest.raises(ParamError, match="finite"):
+        with pytest.raises(PhysioBiasError, match="finite"):
             DecompParams(**{name: value})
 
 
@@ -144,19 +145,20 @@ class TestDecompose:
             assert np.abs(a - b).max() <= 1e-6
 
     def test_too_short(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(PhysioBiasError, match=re.escape(
+                "EDA too short to decompose: 100 samples < 160 (4 knot spacings at 4 Hz)")):
             decompose(Signal(0.0, RATE, np.ones(100)))
 
     def test_shortest_solve_is_four_knot_spacings_rounded_down(self):
         # 4 x 7.3 s at 4 Hz is 116.8 samples: 116 decompose, 115 do not
         params = DecompParams(knot_spacing=7.3)
         assert decompose(pulse_signal(n=116, pulse_sample=40), params).tonic.samples.size == 116
-        with pytest.raises(InsufficientData, match="115 samples < 116 "):
+        with pytest.raises(PhysioBiasError, match="115 samples < 116 "):
             decompose(pulse_signal(n=115, pulse_sample=40), params)
 
     @pytest.mark.parametrize("knot_spacing, minimum", [(1e305, "1.6e+306"), (2e307, "inf")])
     def test_huge_knot_spacing_is_too_short_for_any_signal(self, knot_spacing, minimum):
-        with pytest.raises(InsufficientData, match=rf"480 samples < {re.escape(minimum)} \("):
+        with pytest.raises(PhysioBiasError, match=rf"480 samples < {re.escape(minimum)} \("):
             decompose(pulse_signal(), DecompParams(knot_spacing=knot_spacing))
 
     def test_two_hour_signal_converges(self):

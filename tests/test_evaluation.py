@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
@@ -5,7 +7,7 @@ from scipy.stats import mannwhitneyu
 import oracles
 from conftest import make_dataset
 from physiobias import evaluation
-from physiobias.errors import DegenerateLabels, InsufficientData, ParamError
+from physiobias.errors import PhysioBiasError
 from physiobias.evaluation import (
     aggregate_importance,
     evaluate,
@@ -56,7 +58,8 @@ class TestLopoFolds:
 
     def test_requires_two_participants(self):
         data = participant_dataset(n_biased=1, n_unbiased=0)
-        with pytest.raises(InsufficientData):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("leave-one-participant-out needs >= 2 participants")):
             lopo_folds(data)
 
 
@@ -84,7 +87,8 @@ class TestOversample:
         assert not np.array_equal(oversample_weights(y, seed=9), oversample_weights(y, seed=10))
 
     def test_single_class_rejected(self):
-        with pytest.raises(DegenerateLabels):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("oversampling needs both classes present")):
             oversample_weights(np.ones(4, int), seed=0)
 
     def test_weights_count_the_seeded_draws(self):
@@ -158,7 +162,8 @@ class TestGroupDifference:
 
     def test_requires_two_per_group(self):
         data = participant_dataset(n_biased=1, n_unbiased=4)
-        with pytest.raises(InsufficientData):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("group statistics need >= 2 participants per group")):
             group_difference(data)
 
     def test_nan_windows_excluded_from_means(self):
@@ -265,5 +270,5 @@ class TestEvaluate:
 
     def test_top_n_below_one_rejected(self):
         data = participant_dataset()
-        with pytest.raises(ParamError, match="top_n"):
+        with pytest.raises(PhysioBiasError, match=re.escape("top_n must be >= 1, got 0")):
             evaluate(data, GbtParams(depth=1, rounds=1), top_n=0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import oracles
 from conftest import slice_features
 from physiobias.dataset import from_csv, write_csv
 from physiobias.eda import decompose
-from physiobias.errors import InsufficientData
+from physiobias.errors import PhysioBiasError
 from physiobias.features import (
     AUC_SIGNALS,
     BEAT_FEATURES,
@@ -48,7 +49,8 @@ class TestStatFeatures:
         assert out["distance"] == pytest.approx(math.sqrt(2.0))
 
     def test_too_short(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("need >= 2 samples for statistics, got 1")):
             slice_features(stat_columns, np.array([1.0]), 4.0)
 
     def test_shift_invariance(self):
@@ -105,7 +107,8 @@ class TestExtraFeatures:
         assert b["kurtosis"] == pytest.approx(a["kurtosis"], abs=1e-9)
 
     def test_too_short(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("need >= 4 samples for waveform features, got 3")):
             slice_features(extra_columns, np.array([1.0, 2.0, 3.0]), 4.0)
 
 
@@ -150,11 +153,11 @@ class TestDetectBeats:
         assert spike_at not in peaks
 
     def test_rate_gate(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(PhysioBiasError, match=re.escape("BVP rate 16 Hz is below 32 Hz")):
             detect_beats(np.zeros(100), 16.0)
 
     def test_length_gate(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(PhysioBiasError, match=re.escape("need at least 1 s of BVP samples")):
             detect_beats(np.zeros(30), 64.0)
 
     def test_rr_gating_drops_implausible_interval(self):

@@ -7,8 +7,8 @@ error, in the extract workers as well). Each test mutates copies of one kind
 of input, from a 1 + 1 x 60 s corpus, with stdlib `random` under a fixed
 seed, runs `main` on each copy in-process, and checks that what exit 0 or 1
 wrote reads back. A failure names the seed and the mutations that failed.
-The last test sets each float flag of `extract` and `evaluate` to each of a
-fixed list of extremes.
+The last two tests set each float flag and each integer flag of `extract`
+and `evaluate` to each of a fixed list of extremes.
 """
 import random
 import shutil
@@ -215,6 +215,15 @@ def serial_pool(tasks):
     yield types.SimpleNamespace(map=map)
 
 
+def flag_argv(fuzz_corpus, out, command: str) -> list[str]:
+    """`extract` of the corpus, or `evaluate --rounds 2` of its features.csv."""
+    if command == "extract":
+        return ["extract", "--data-dir", str(fuzz_corpus / "sessions"),
+                "--labels", str(fuzz_corpus / "labels.csv"), "--out", str(out)]
+    return ["evaluate", "--features", str(fuzz_corpus / "features.csv"),
+            "--out", str(out), "--rounds", "2"]
+
+
 @pytest.mark.parametrize("command, flag", FLOAT_FLAGS, ids=[f"{c}{f}" for c, f in FLOAT_FLAGS])
 def test_float_flag_extremes(fuzz_corpus, tmp_path, capsys, monkeypatch, command, flag):
     """The flag at each of EXTREMES, in one run each; extract's sessions run
@@ -222,12 +231,33 @@ def test_float_flag_extremes(fuzz_corpus, tmp_path, capsys, monkeypatch, command
     monkeypatch.setattr(pool, "spawn_pool", serial_pool)
     failures = []
     for k, value in enumerate(EXTREMES):
-        out = tmp_path / f"out{k}"
-        if command == "extract":
-            argv = ["extract", "--data-dir", str(fuzz_corpus / "sessions"),
-                    "--labels", str(fuzz_corpus / "labels.csv"), "--out", str(out)]
-        else:
-            argv = ["evaluate", "--features", str(fuzz_corpus / "features.csv"),
-                    "--out", str(out), "--rounds", "2"]
+        argv = flag_argv(fuzz_corpus, tmp_path / f"out{k}", command)
         check(failures, f"{flag}={value}", *run_main([*argv, f"{flag}={value}"], capsys))
+    assert_none(failures, f"{command} {flag}")
+
+
+INT_EXTREMES = ["0", "-1", str(2**31), str(2**63)]
+
+# --rounds stops at -1: a large round count trains for hours.
+INT_FLAGS = [
+    *[("evaluate", flag, INT_EXTREMES) for flag in ("--depth", "--top-n", "--seed")],
+    ("evaluate", "--rounds", ["0", "-1"]),
+    ("extract", "--decomp-max-iter", INT_EXTREMES),
+]
+
+
+@pytest.mark.parametrize("command, flag, values", INT_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in INT_FLAGS])
+def test_integer_flag_extremes(fuzz_corpus, tmp_path, capsys, monkeypatch, command, flag, values):
+    """The flag at each of values, in one run each, ends in exit 0 or in
+    exit 2 with stderr starting `error:`; extract's sessions run in this
+    process."""
+    monkeypatch.setattr(pool, "spawn_pool", serial_pool)
+    failures = []
+    for k, value in enumerate(values):
+        argv = flag_argv(fuzz_corpus, tmp_path / f"out{k}", command)
+        rc, err = run_main([*argv, f"{flag}={value}"], capsys)
+        if check(failures, f"{flag}={value}", rc, err) and not (
+                rc == 0 or rc == 2 and err.startswith("error: ")):
+            failures.append(f"{flag}={value}: exit {rc} {err.strip()[-300:]!r}")
     assert_none(failures, f"{command} {flag}")

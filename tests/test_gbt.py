@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import oracles
 from conftest import best_split, make_dataset, tree_dict
 from physiobias import gbt
-from physiobias.errors import DegenerateLabels, ShapeError
+from physiobias.errors import PhysioBiasError
 from physiobias.gbt import (
     GbtParams,
     importance,
@@ -57,7 +58,8 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         data = make_dataset(np.random.default_rng(0).normal(size=(10, 2)), np.ones(10))
-        with pytest.raises(DegenerateLabels):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("training data must contain both classes")):
             train(data, GbtParams())
 
     def test_loss_monotone_nonincreasing(self):
@@ -315,9 +317,11 @@ class TestPredict:
 
     def test_width_mismatch(self):
         model = train(xor_dataset(), GbtParams(rounds=1))
-        with pytest.raises(ShapeError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("expected rows of width 2, got shape (1, 5)")):
             predict_proba_matrix(model, np.zeros((1, 5)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("expected rows of width 2, got shape (3, 5)")):
             predict_proba_matrix(model, np.zeros((3, 5)))
 
 

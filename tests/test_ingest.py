@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -8,14 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from physiobias import ingest
-from physiobias.errors import (
-    BadParticipantId,
-    EmptySignal,
-    InsufficientData,
-    LabelError,
-    MissingChannel,
-    ParseError,
-)
+from physiobias.errors import PhysioBiasError
 from physiobias.ingest import (
     CHANNEL_FILES,
     IAT_CATEGORIES,
@@ -58,7 +52,7 @@ class TestParseE4Csv:
     def test_empty_body(self, tmp_path):
         f = tmp_path / "EDA.csv"
         f.write_text("1.0\n4.0\n")
-        with pytest.raises(EmptySignal):
+        with pytest.raises(PhysioBiasError, match=re.escape(f"{f}: no data rows")):
             parse_e4_csv(f, "EDA")
 
     def test_header_only_file_is_empty_without_a_warning(self, tmp_path):
@@ -66,7 +60,7 @@ class TestParseE4Csv:
         f.write_text("1.0\n4.0\n\n\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EmptySignal, match=r"EDA\.csv: no data rows"):
+            with pytest.raises(PhysioBiasError, match=r"EDA\.csv: no data rows"):
                 parse_e4_csv(f, "EDA")
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"])
@@ -90,37 +84,39 @@ class TestParseE4Csv:
     def test_rows_loadtxt_rejects_report_their_line(self, tmp_path, body, message):
         f = tmp_path / "EDA.csv"
         f.write_text("1.0\n4.0\n" + body)
-        with pytest.raises(ParseError, match=r"EDA\.csv" + message):
+        with pytest.raises(PhysioBiasError, match=r"EDA\.csv" + message):
             parse_e4_csv(f, "EDA")
 
     def test_malformed_header(self, tmp_path):
         f = tmp_path / "EDA.csv"
         f.write_text("not-a-number\n4.0\n1.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape(f"{f}:1: non-numeric header 'not-a-number'")):
             parse_e4_csv(f, "EDA")
 
     def test_non_numeric_row_reports_line(self, tmp_path):
         f = tmp_path / "EDA.csv"
         f.write_text("1.0\n4.0\n0.5\nbogus\n0.7\n")
-        with pytest.raises(ParseError, match=":4"):
+        with pytest.raises(PhysioBiasError, match=re.escape(f"{f}:4: non-numeric row 'bogus'")):
             parse_e4_csv(f, "EDA")
 
     def test_wrong_column_count(self, tmp_path):
         f = tmp_path / "ACC.csv"
         f.write_text("1.0,1.0,1.0\n32.0,32.0,32.0\n1,2\n")
-        with pytest.raises(ParseError, match=":3"):
+        with pytest.raises(PhysioBiasError, match=re.escape(f"{f}:3: expected 3 column(s), got 2")):
             parse_e4_csv(f, "ACC")
 
     def test_missing_header(self, tmp_path):
         f = tmp_path / "EDA.csv"
         f.write_text("1.0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(PhysioBiasError, match=re.escape(
+                f"{f}: file has no header (need timestamp and rate lines)")):
             parse_e4_csv(f, "EDA")
 
     def test_non_finite_sample_reports_its_line_after_blank_lines(self, tmp_path):
         f = tmp_path / "EDA.csv"
         f.write_text("1.0\n4.0\n0.5\n\n0.6\n\nnan\n0.7\n")
-        with pytest.raises(ParseError, match=r"EDA\.csv:7: non-finite EDA sample"):
+        with pytest.raises(PhysioBiasError, match=r"EDA\.csv:7: non-finite EDA sample"):
             parse_e4_csv(f, "EDA")
 
     @pytest.mark.parametrize("channel, body, line", [
@@ -138,8 +134,8 @@ class TestParseE4Csv:
         f = tmp_path / f"{channel}.csv"
         header = "1.0,1.0,1.0\n32.0,32.0,32.0\n" if channel == "ACC" else "1.0\n4.0\n"
         f.write_text(header + body)
-        with pytest.raises(ParseError, match=rf"{channel}\.csv:{line}: {channel} sample "
-                                             r".* is outside the plausible range"):
+        with pytest.raises(PhysioBiasError, match=rf"{channel}\.csv:{line}: {channel} sample "
+                                                  r".* is outside the plausible range"):
             parse_e4_csv(f, channel)
 
     @pytest.mark.parametrize("channel, body", [
@@ -154,6 +150,20 @@ class TestParseE4Csv:
         header = "1.0,1.0,1.0\n32.0,32.0,32.0\n" if channel == "ACC" else "1.0\n4.0\n"
         f.write_text(header + body)
         assert parse_e4_csv(f, channel).samples.shape[0] == body.count("\n")
+
+    @pytest.mark.parametrize("channel, body, line, value", [
+        ("BVP", "0.5\n\n1e76\n", 5, "1e+76"),
+        ("BVP", "-1e75\n", 3, "-1e+75"),
+        ("HR", "60\n1e300\n", 4, "1e+300"),
+    ])
+    def test_bvp_or_hr_sample_at_the_signal_bound_reports_line_and_channel(
+        self, tmp_path, channel, body, line, value
+    ):
+        f = tmp_path / f"{channel}.csv"
+        f.write_text("1.0\n4.0\n" + body)
+        with pytest.raises(PhysioBiasError, match=re.escape(
+                f"{f}:{line}: {channel} sample {value} is not below 1e+75 in magnitude")):
+            parse_e4_csv(f, channel)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -237,11 +247,12 @@ class TestIatMapping:
         assert map_iat_category("no preference") == 0
 
     def test_unknown_category(self):
-        with pytest.raises(LabelError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("unrecognized IAT category 'mild preference'")):
             map_iat_category("mild preference")
 
     def test_empty_category(self):
-        with pytest.raises(LabelError):
+        with pytest.raises(PhysioBiasError, match=re.escape("empty IAT category")):
             map_iat_category("  ")
 
     def test_case_insensitive(self):
@@ -265,13 +276,15 @@ class TestLoadLabels:
     def test_duplicate_participant(self, tmp_path):
         f = tmp_path / "labels.csv"
         f.write_text("participant_id,iat_category\nP1,no preference\nP1,no preference\n")
-        with pytest.raises(LabelError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape(f"{f}: duplicate label for participant 'P1'")):
             load_labels(f)
 
     def test_bad_header(self, tmp_path):
         f = tmp_path / "labels.csv"
         f.write_text("pid,category\nP1,no preference\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape(f"{f}: expected header 'participant_id,iat_category'")):
             load_labels(f)
 
 
@@ -319,23 +332,26 @@ class TestAssembleSession:
     def test_missing_channel(self, tmp_path):
         d = write_session(tmp_path, "P1")
         (d / "HR.csv").unlink()
-        with pytest.raises(MissingChannel, match="HR"):
+        with pytest.raises(PhysioBiasError, match=re.escape("P1: missing HR.csv")):
             assemble_session(d, LABELS)
 
     def test_unlabeled_participant(self, tmp_path):
         d = write_session(tmp_path, "P9")
-        with pytest.raises(LabelError):
+        with pytest.raises(PhysioBiasError, match=re.escape("no label for participant 'P9'")):
             assemble_session(d, LABELS)
 
     def test_short_common_interval(self, tmp_path):
         d = write_session(tmp_path, "P1", duration=20.0)
-        with pytest.raises(InsufficientData):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("P1: common interval 20.0s is below the 30s minimum")):
             assemble_session(d, LABELS)
 
     @pytest.mark.parametrize("pid", ["P,1", "P\n1", "P\r1", "#P1", "P\x0c1", "P\x851", "P\u20281"])
     def test_id_that_breaks_features_csv_rejected(self, tmp_path, pid):
         d = write_session(tmp_path, pid)
-        with pytest.raises(BadParticipantId):
+        with pytest.raises(PhysioBiasError, match=re.escape(
+                f"participant id {pid!r} holds a comma or line break, or starts with '#', "
+                "which features.csv cannot carry")):
             assemble_session(d, {pid: LABELS["P1"]})
 
     def test_label_attached(self, tmp_path):

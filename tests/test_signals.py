@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from physiobias.errors import InsufficientData, ParamError, SignalError
+from physiobias.errors import PhysioBiasError
 from physiobias.signals import (
     MAX_ABS_SAMPLE,
     Signal,
@@ -21,20 +23,22 @@ def make_channels(duration_s: float, start: float = 0.0) -> dict[str, Signal]:
 
 class TestSignal:
     def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PhysioBiasError, match=re.escape("rate must be > 0, got 0.0")):
             Signal(0.0, 0.0, np.ones(4))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("samples must be a non-empty (N,) or (N, 3) array")):
             Signal(0.0, 4.0, np.array([]))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("samples must be finite and below 1e+75 in magnitude")):
             Signal(0.0, 4.0, np.array([1.0, np.nan]))
 
     @pytest.mark.parametrize("value", [1e75, -1e75, np.inf, 1e300])
     def test_rejects_samples_at_the_bound(self, value):
-        with pytest.raises(SignalError, match="below 1e\\+75"):
+        with pytest.raises(PhysioBiasError, match="below 1e\\+75"):
             Signal(0.0, 4.0, np.array([1.0, value]))
 
     def test_accepts_samples_below_the_bound(self):
@@ -42,7 +46,7 @@ class TestSignal:
 
     @pytest.mark.parametrize("shape", [(4, 2), (4, 3, 1), (0,), (0, 3)])
     def test_rejects_shapes_other_than_a_series_or_xyz_rows(self, shape):
-        with pytest.raises(SignalError, match="non-empty"):
+        with pytest.raises(PhysioBiasError, match="non-empty"):
             Signal(0.0, 4.0, np.zeros(shape))
 
     @pytest.mark.parametrize("shape", [(8,), (8, 3)])
@@ -70,7 +74,8 @@ class TestMagnitude:
         assert out.rate == 32.0 and out.start_time == 5.0
 
     def test_largest_accepted_axes_keep_the_norm_in_bounds(self):
-        with pytest.raises(SignalError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("samples must be finite and below 5e+74 in magnitude")):
             Signal(0.0, 32.0, np.full((1, 3), MAX_ABS_SAMPLE / 2))
         below = np.nextafter(MAX_ABS_SAMPLE / 2, 0)
         mag = magnitude(Signal(0.0, 32.0, np.full((2, 3), -below))).samples
@@ -99,7 +104,8 @@ class TestPartitionWindows:
         assert {w.shape[0] for w in windows.values()} == {2}
 
     def test_too_short(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(PhysioBiasError, match=re.escape(
+                "session shorter than one 5.0s window (min duration 4.00s)")):
             window_matrices(make_channels(4.9))
 
     def test_concatenation_is_prefix(self):
@@ -128,7 +134,8 @@ class TestPartitionWindows:
     def test_misaligned_channels_rejected(self):
         channels = make_channels(30.0)
         channels["eda"] = Signal(7.0, 4.0, channels["eda"].samples)
-        with pytest.raises(ValueError):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("channels are not aligned: start times differ")):
             window_matrices(channels)
 
     def test_custom_window_seconds(self):
@@ -138,7 +145,9 @@ class TestPartitionWindows:
     def test_fractional_samples_per_window_rejected(self):
         # 2.5 s is 10 EDA samples but 2.5 HR samples: rounding HR to 2 would
         # start HR window k at 2k s while EDA window k starts at 2.5k s.
-        with pytest.raises(ParamError):
+        with pytest.raises(PhysioBiasError, match=re.escape(
+                "2.5 s windows hold 2.5 samples at 1 Hz; need a positive whole number of samples "
+                "per window on every channel")):
             window_matrices(make_channels(60.0), window_seconds=2.5)
 
 
@@ -149,5 +158,7 @@ class TestSamplesPerWindow:
 
     @pytest.mark.parametrize("rate, seconds", [(1.0, 2.5), (4.0, 0.1), (64.0, 0.3)])
     def test_fractional_rejected(self, rate, seconds):
-        with pytest.raises(ParamError):
+        with pytest.raises(PhysioBiasError, match=re.escape(
+                f"{seconds:g} s windows hold {rate * seconds:g} samples at {rate:g} Hz; need a "
+                "positive whole number of samples per window on every channel")):
             samples_per_window(rate, seconds)
