@@ -39,7 +39,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import PhysioBiasError
-from .params import (DEFAULT_SEED, DEFAULT_TOP_N, DEFAULT_WINDOW_SECONDS, EFFECT_LOCATIONS,
+from .params import (DEFAULT_SEED, DEFAULT_WINDOW_SECONDS, EFFECT_LOCATIONS,
                      MIN_SESSION_SECONDS, DecompParams, GbtParams, SynthParams)
 
 
@@ -62,14 +62,6 @@ def _add_decomp_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--decomp-tol", type=float, default=DecompParams.tol,
                    help="stop the EDA solve when max |gradient mapping| <= tol * alpha")
     p.add_argument("--decomp-max-iter", type=int, default=DecompParams.max_iter)
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=GbtParams.depth)
-    p.add_argument("--rounds", type=int, default=GbtParams.rounds)
-    p.add_argument("--learning-rate", type=float, default=GbtParams.learning_rate)
-    p.add_argument("--reg-lambda", type=float, default=GbtParams.reg_lambda)
-    p.add_argument("--min-child-weight", type=float, default=GbtParams.min_child_weight)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--features", required=True, type=Path)
     p_eval.add_argument("--out", required=True, type=Path, help="output directory")
     p_eval.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_eval.add_argument("--top-n", type=int, default=DEFAULT_TOP_N)
-    p_eval.add_argument("--importance-threshold", type=float, default=None)
     p_eval.add_argument("--folds-parallel", type=int, default=1,
                         help="must be 1: the folds run in one process")
-    _add_model_flags(p_eval)
+    p_eval.add_argument("--depth", type=int, default=GbtParams.depth)
+    p_eval.add_argument("--rounds", type=int, default=GbtParams.rounds)
+    p_eval.add_argument("--learning-rate", type=float, default=GbtParams.learning_rate)
 
     p_smooth = sub.add_parser("smooth", help="smooth one 0/1 sequence, print the trace")
     p_smooth.add_argument("--input", type=Path, default=None, help="file with the sequence; default stdin")
@@ -234,32 +226,22 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .dataset import from_csv
-    from .evaluation import evaluate
+    from .evaluation import TOP_N, evaluate
 
     if args.folds_parallel != 1:
         raise PhysioBiasError(f"--folds-parallel must be 1 (folds run in one process), "
                               f"got {args.folds_parallel}")
     data = from_csv(args.features)
-    params = GbtParams(
-        depth=args.depth,
-        rounds=args.rounds,
-        learning_rate=args.learning_rate,
-        reg_lambda=args.reg_lambda,
-        min_child_weight=args.min_child_weight,
-    )
+    params = GbtParams(depth=args.depth, rounds=args.rounds, learning_rate=args.learning_rate)
     args.out.mkdir(parents=True, exist_ok=True)
-    report = evaluate(
-        data,
-        params,
-        seed=args.seed,
-        top_n=args.top_n,
-        importance_threshold=args.importance_threshold,
-    )
+    report = evaluate(data, params, seed=args.seed)
     config = {
         "features": str(args.features),
         "model": dataclasses.asdict(params),
-        "top_n": args.top_n,
-        "importance_threshold": args.importance_threshold,
+        # The fixed importance rule, under the keys that earlier versions'
+        # flags filled, so the meta line of a report does not change.
+        "top_n": TOP_N,
+        "importance_threshold": None,
         "seed": args.seed,
     }
     meta = _meta("evaluate", config)

@@ -26,8 +26,12 @@ import numpy as np
 from .dataset import Dataset
 from .errors import PhysioBiasError
 from .gbt import GbtParams, SortedColumns, importance, predict_proba_matrix, presort, train
-from .params import DEFAULT_SEED, DEFAULT_TOP_N
+from .params import DEFAULT_SEED
 from .smoothing import final_label, majority_window_location, smooth, location_summary
+
+# The paper reports the features that rank in the top 20 by gain in more
+# than half of the folds.
+TOP_N = 20
 
 
 def _participants(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,21 +128,16 @@ def _run_fold(
     return summary, importance(model)
 
 
-def aggregate_importance(
-    fold_importances: list[dict[str, float]],
-    top_n: int,
-    threshold: float | None = None,
-) -> tuple[dict[str, int], list[str], float]:
-    """Count, per feature, the folds where it ranks in the top_n by gain;
-    report the features whose count exceeds the threshold (default: half
-    the folds). Returns (counts, reported features, threshold applied)."""
+def aggregate_importance(fold_importances: list[dict[str, float]]) -> tuple[dict[str, int], list[str], float]:
+    """Count, per feature, the folds where it ranks in the top TOP_N by gain;
+    report the features whose count exceeds half the folds, the paper's
+    rule. Returns (counts, reported features, threshold applied)."""
     if not fold_importances:
         raise ValueError("no folds to aggregate")
-    if threshold is None:
-        threshold = len(fold_importances) / 2.0
+    threshold = len(fold_importances) / 2.0
     counts: dict[str, int] = {}
     for imp in fold_importances:
-        ranked = sorted(imp.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+        ranked = sorted(imp.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_N]
         for name, _ in ranked:
             counts[name] = counts.get(name, 0) + 1
     counts = dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
@@ -215,25 +214,19 @@ def evaluate(
     data: Dataset,
     model_params: GbtParams | None = None,
     seed: int = DEFAULT_SEED,
-    top_n: int = DEFAULT_TOP_N,
-    importance_threshold: float | None = None,
 ) -> dict:
     """Full LOPO evaluation: per-fold oversample/train/predict/smooth, one
     fold after another in this process, then participant-level metrics
-    against the majority-class baseline. Returns the report document: plain
-    JSON values, per-class metrics keyed "1" and "0", one summary per fold.
+    against the majority-class baseline and the features that
+    aggregate_importance reports. Returns the report document: plain JSON
+    values, per-class metrics keyed "1" and "0", one summary per fold.
 
     Raises:
-        PhysioBiasError: top_n below 1, a negative seed, a non-finite
-            importance_threshold, or fewer than two participants in either
-            class, so that some fold would train on one class.
+        PhysioBiasError: a negative seed, or fewer than two participants in
+            either class, so that some fold would train on one class.
     """
-    if top_n < 1:
-        raise PhysioBiasError(f"top_n must be >= 1, got {top_n}")
     if seed < 0:
         raise PhysioBiasError(f"seed must be >= 0, got {seed}")
-    if importance_threshold is not None and not math.isfinite(importance_threshold):
-        raise PhysioBiasError(f"importance_threshold must be finite, got {importance_threshold}")
     _, labels, _ = _participants(data)
     n_biased, n_unbiased = int(np.sum(labels == 1)), int(np.sum(labels == 0))
     if n_biased < 2 or n_unbiased < 2:
@@ -253,9 +246,7 @@ def evaluate(
     verdicts = [f["verdict"] for f in folds]
     window_truths = np.repeat(truths, [f["n_windows"] for f in folds])
     window_preds = [int(c) for f in folds for c in f["predicted"]]
-    counts, reported, threshold = aggregate_importance(
-        [gains for _, gains in results], top_n=top_n, threshold=importance_threshold
-    )
+    counts, reported, threshold = aggregate_importance([gains for _, gains in results])
     location_counts = {"start": 0, "middle": 0, "end": 0}
     for f in folds:
         location_counts[f["location"]] += 1
@@ -267,8 +258,8 @@ def evaluate(
         "window_metrics": _metrics(window_truths, window_preds),
         "importance_counts": counts,
         "importance_reported": reported,
-        "importance_top_n": top_n,
-        "importance_threshold": float(threshold),
+        "importance_top_n": TOP_N,
+        "importance_threshold": threshold,
         "end_fraction": location_summary([f["location"] for f in folds], verdicts, truths),
         "location_counts": location_counts,
         "group_stats": group_difference(data),

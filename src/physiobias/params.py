@@ -19,9 +19,8 @@ DEFAULT_WINDOW_SECONDS = 5.0
 # Sessions shorter than this after alignment carry too few windows to use.
 MIN_SESSION_SECONDS = 30.0
 
-# Defaults of evaluate, which the CLI's --seed and --top-n also take.
+# The default seed of evaluate, which the CLI's --seed also takes.
 DEFAULT_SEED = 0
-DEFAULT_TOP_N = 20
 
 # Longest session and largest effect `synth` accepts: twice the longest E4
 # recording (24 h), and an effect of 600 extra pulses a minute, more than two

@@ -9,6 +9,10 @@ workers as in the caller, and each worker ends itself as soon as the
 caller's process is gone, however it died. A worker that dies itself
 (killed, say, or out of memory) breaks the pool; the pool raises that as a
 PhysioBiasError, which `cli.main` reports like any other.
+While the pool is open, the BLAS thread-count variables of this process's
+environment, which the workers inherit and their BLAS reads as numpy loads,
+are 1: a threaded BLAS sums in another order, so a long session's EDA solve
+would give other bits on a host with another CPU count.
 """
 from __future__ import annotations
 
@@ -25,6 +29,9 @@ from contextlib import contextmanager
 from .errors import PhysioBiasError
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _exit_with_parent(sentinel: int) -> None:
     multiprocessing.connection.wait([sentinel])
     os._exit(1)
@@ -38,7 +45,10 @@ def _start_worker(filters: list) -> None:
 
 @contextmanager
 def spawn_pool(tasks: int) -> Iterator[ProcessPoolExecutor]:
-    """A pool of one worker per available CPU, at most one per task."""
+    """A pool of one worker per available CPU, at most one per task, each
+    with a one-thread BLAS; the caller's environment is restored on close."""
+    saved = {name: os.environ[name] for name in _BLAS_THREAD_VARIABLES if name in os.environ}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
     try:
         with ProcessPoolExecutor(
             min(len(os.sched_getaffinity(0)), tasks),
@@ -49,3 +59,7 @@ def spawn_pool(tasks: int) -> Iterator[ProcessPoolExecutor]:
             yield pool
     except BrokenProcessPool as exc:
         raise PhysioBiasError(str(exc)) from None
+    finally:
+        for name in _BLAS_THREAD_VARIABLES:
+            os.environ.pop(name)
+        os.environ.update(saved)

@@ -176,26 +176,26 @@ class TestGroupDifference:
 
 class TestAggregateImportance:
     def test_counts_membership_in_top_n(self):
-        folds = [
-            {"a": 0.5, "b": 0.3, "c": 0.2},
-            {"a": 0.9, "c": 0.1},
-            {"a": 0.4, "b": 0.6},
-        ]
-        counts, reported, threshold = aggregate_importance(folds, top_n=2, threshold=1.5)
-        assert counts["a"] == 3
-        assert counts["b"] == 2
-        assert counts["c"] == 1
-        assert reported == ["a", "b"]
+        # 22 features; in each fold the two of least gain miss the top 20.
+        names = [f"f{j:02d}" for j in range(22)]
+        descending = {name: 22.0 - j for j, name in enumerate(names)}
+        ascending = {name: 1.0 + j for j, name in enumerate(names)}
+        counts, reported, threshold = aggregate_importance([descending, descending, ascending])
+        assert counts == {**{name: 3 for name in names[2:20]},
+                          "f00": 2, "f01": 2, "f20": 1, "f21": 1}
+        assert list(counts) == [*names[2:20], "f00", "f01", "f20", "f21"]
+        assert reported == [*names[2:20], "f00", "f01"]
         assert threshold == 1.5
 
     def test_default_threshold_half_folds(self):
-        folds = [{"a": 1.0}] * 4 + [{"b": 1.0}] * 2
-        counts, reported, threshold = aggregate_importance(folds, top_n=5)
+        folds = [{"a": 1.0, "c": 1.0}] * 3 + [{"a": 1.0, "b": 1.0}, {"b": 1.0}, {}]
+        counts, reported, threshold = aggregate_importance(folds)
+        assert counts == {"a": 4, "c": 3, "b": 2}
         assert threshold == 3.0
-        assert reported == ["a"]  # 4 > 3; b's 2 <= 3
+        assert reported == ["a"]  # more than half the folds: c's 3 of 6 is not
 
     def test_never_split_feature_omitted(self):
-        counts, _, _ = aggregate_importance([{"a": 1.0}, {}], top_n=3)
+        counts, _, _ = aggregate_importance([{"a": 1.0}, {}])
         assert "b" not in counts
 
 
@@ -267,8 +267,3 @@ class TestEvaluate:
         report = evaluate(data, GbtParams(depth=3, rounds=4, learning_rate=0.3), seed=6)
         assert calls == [(data.X.shape[1], data.n_rows)]
         assert report["n_participants"] == 7
-
-    def test_top_n_below_one_rejected(self):
-        data = participant_dataset()
-        with pytest.raises(PhysioBiasError, match=re.escape("top_n must be >= 1, got 0")):
-            evaluate(data, GbtParams(depth=1, rounds=1), top_n=0)

@@ -204,8 +204,7 @@ EXTREMES = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "0", "-1"]
 FLOAT_FLAGS = [
     *[("extract", flag) for flag in ("--window-seconds", "--min-duration", "--knot-spacing",
                                      "--decomp-alpha", "--decomp-gamma", "--decomp-tol")],
-    *[("evaluate", flag) for flag in ("--learning-rate", "--reg-lambda", "--min-child-weight",
-                                      "--importance-threshold")],
+    ("evaluate", "--learning-rate"),
 ]
 
 
@@ -240,7 +239,7 @@ INT_EXTREMES = ["0", "-1", str(2**31), str(2**63)]
 
 # --rounds stops at -1: a large round count trains for hours.
 INT_FLAGS = [
-    *[("evaluate", flag, INT_EXTREMES) for flag in ("--depth", "--top-n", "--seed")],
+    *[("evaluate", flag, INT_EXTREMES) for flag in ("--depth", "--seed")],
     ("evaluate", "--rounds", ["0", "-1"]),
     ("extract", "--decomp-max-iter", INT_EXTREMES),
 ]

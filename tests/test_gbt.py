@@ -23,6 +23,13 @@ def xor_dataset(n=200, seed=7):
     return make_dataset(X, y)
 
 
+def assert_finite(model, data):
+    """Every leaf and split weight of the model, and its every prediction on
+    data, is finite."""
+    assert all(np.all(np.isfinite(tree.weight)) for tree in model.trees)
+    assert np.all(np.isfinite(predict_proba_matrix(model, data.X)))
+
+
 class TestTrain:
     def test_xor_representable_at_depth_2(self):
         data = xor_dataset()
@@ -61,6 +68,30 @@ class TestTrain:
         with pytest.raises(PhysioBiasError,
                            match=re.escape("training data must contain both classes")):
             train(data, GbtParams())
+
+    def test_nan_regularization_rejected(self):
+        with pytest.raises(PhysioBiasError,
+                           match=re.escape("reg_lambda and min_child_weight must be >= 0")):
+            GbtParams(reg_lambda=float("nan"))
+
+    def test_tree_deeper_than_the_recursion_limit(self):
+        # 6,000 rows whose one feature orders them with the labels 1, 0, 1,
+        # 0, ...: unregularized, the tree is thousands of levels deep.
+        f0 = np.arange(6000.0)
+        data = make_dataset(f0[:, None], 1 - f0.astype(int) % 2)
+        model = train(data, GbtParams(depth=100000, rounds=1, reg_lambda=0, min_child_weight=0))
+        assert_finite(model, data)
+
+    def test_node_of_zero_hessian(self):
+        # 4 participants x 10 windows, separable: the rows saturate, so their
+        # hessians are exactly 0, and without reg_lambda a node over them
+        # alone has no Newton step.
+        labels = np.repeat([1, 1, 0, 0], 10)
+        f0 = 10.0 * labels + 0.1 * np.tile(np.arange(10), 4) + np.repeat(np.arange(4), 10)
+        data = make_dataset(f0[:, None], labels)
+        model = train(data, GbtParams(depth=2, rounds=60, learning_rate=1, reg_lambda=0,
+                                      min_child_weight=0))
+        assert_finite(model, data)
 
     def test_loss_monotone_nonincreasing(self):
         rng = np.random.default_rng(2)
