@@ -4,6 +4,8 @@ Every output embeds the configuration (with the seed, for the commands that
 draw random numbers) and the tool version, and carries no timestamps, so a
 rerun with the same flags is byte-identical. In `evaluate` the seed drives
 only each fold's oversampling draw; the boosted trees draw nothing.
+`extract` takes no tuning flag: it windows at 5 s, drops sessions shorter
+than 30 s and solves EDA with `DecompParams()`, and its meta records all three.
 Exit codes: 0 success, 1 partial failure (some sessions skipped), 2 fatal.
 The error policy lives in two places. A command raises PhysioBiasError for
 a bad flag or input file (each read converts OSError and decode errors into
@@ -20,7 +22,7 @@ writes everything in participant or session order, so no output depends on
 the worker count, and a worker that dies ends the command with one
 `error:` line and exit 2.
 At module level this imports only the stdlib, `errors` and `params` (the
-flag defaults, which import no numpy). Each command imports the modules it
+parameters, which import no numpy). Each command imports the modules it
 runs when it starts, as does the extract worker function, so `smooth` loads
 `smoothing` alone, `report` only `json`, and neither loads numpy; an extract
 worker loads the parser, the features and the EDA solve, but not the model,
@@ -31,7 +33,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import re
 import sys
 from functools import partial
@@ -50,18 +51,6 @@ def _meta(command: str, config: dict) -> dict:
         "command": command,
         "config": config,
     }
-
-
-def _add_decomp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--knot-spacing", type=float, default=DecompParams.knot_spacing,
-                   help="tonic spline knot spacing, s")
-    p.add_argument("--decomp-alpha", type=float, default=DecompParams.alpha,
-                   help="l1 weight on the EDA driver")
-    p.add_argument("--decomp-gamma", type=float, default=DecompParams.gamma,
-                   help="l2 weight on spline coefficients")
-    p.add_argument("--decomp-tol", type=float, default=DecompParams.tol,
-                   help="stop the EDA solve when max |gradient mapping| <= tol * alpha")
-    p.add_argument("--decomp-max-iter", type=int, default=DecompParams.max_iter)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,10 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--data-dir", required=True, type=Path)
     p_ext.add_argument("--labels", required=True, type=Path)
     p_ext.add_argument("--out", required=True, type=Path, help="output directory")
-    p_ext.add_argument("--window-seconds", type=float, default=DEFAULT_WINDOW_SECONDS)
-    p_ext.add_argument("--min-duration", type=float, default=MIN_SESSION_SECONDS)
     p_ext.add_argument("--debug-eda", action="store_true", help="dump per-session decompositions")
-    _add_decomp_flags(p_ext)
 
     p_eval = sub.add_parser("evaluate", help="features.csv -> report.json + tables")
     p_eval.add_argument("--features", required=True, type=Path)
@@ -129,8 +115,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _extract_session(session_dir: Path, labels: dict[str, int], decomp: DecompParams,
-                     window_seconds: float, min_duration: float, debug_dir: Path | None,
-                     meta: str) -> tuple[str | None, object, dict | None]:
+                     debug_dir: Path | None, meta: str) -> tuple[str | None, object, dict | None]:
     """One session of `extract`, on a pool worker: (None, its feature
     matrix, its diagnostics record), with the EDA decomposition dumped into
     debug_dir if one is given, or (the reason, None, None) for a session
@@ -140,8 +125,8 @@ def _extract_session(session_dir: Path, labels: dict[str, int], decomp: DecompPa
     from .ingest import assemble_session
 
     try:
-        session = assemble_session(session_dir, labels, min_duration=min_duration)
-        matrix, components = extract_session_features(session, decomp, window_seconds=window_seconds)
+        session = assemble_session(session_dir, labels)
+        matrix, components = extract_session_features(session, decomp)
         if debug_dir is not None:
             debug_dir.mkdir(exist_ok=True)
             dump_components_csv(session["eda"], components,
@@ -171,30 +156,21 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     session_dirs = sorted(p for p in data_dir.iterdir() if p.is_dir())
     if not session_dirs:
         raise PhysioBiasError(f"no session directories in {data_dir}")
-    if not (math.isfinite(args.min_duration) and args.min_duration >= 0):
-        raise PhysioBiasError(f"min_duration must be finite and >= 0, got {args.min_duration}")
     labels = load_labels(args.labels)
-    decomp = DecompParams(
-        knot_spacing=args.knot_spacing,
-        alpha=args.decomp_alpha,
-        gamma=args.decomp_gamma,
-        tol=args.decomp_tol,
-        max_iter=args.decomp_max_iter,
-    )
+    decomp = DecompParams()
     args.out.mkdir(parents=True, exist_ok=True)
     debug_dir = args.out / "eda_debug"
     config = {
         "data_dir": str(data_dir),
         "labels": str(args.labels),
-        "window_seconds": args.window_seconds,
-        "min_duration": args.min_duration,
+        "window_seconds": DEFAULT_WINDOW_SECONDS,
+        "min_duration": MIN_SESSION_SECONDS,
         "decomposition": dataclasses.asdict(decomp),
     }
     meta = _meta("extract", config)
 
-    job = partial(_extract_session, labels=labels, decomp=decomp, window_seconds=args.window_seconds,
-                  min_duration=args.min_duration, debug_dir=debug_dir if args.debug_eda else None,
-                  meta=json.dumps(meta, sort_keys=True))
+    job = partial(_extract_session, labels=labels, decomp=decomp,
+                  debug_dir=debug_dir if args.debug_eda else None, meta=json.dumps(meta, sort_keys=True))
     extracted = []
     diagnostics = []
     failures = 0

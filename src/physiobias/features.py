@@ -26,7 +26,7 @@ import numpy as np
 
 from .eda import DecompParams, EdaComponents, decompose
 from .errors import PhysioBiasError
-from .signals import DEFAULT_WINDOW_SECONDS, Signal, magnitude, window_matrices
+from .signals import Signal, magnitude, window_matrices
 
 STAT_FEATURES = (
     "max", "min", "median", "mean", "std", "var",
@@ -249,10 +249,10 @@ def window_feature_matrix(
 def extract_session_features(
     session: dict[str, Signal],
     decomp_params: DecompParams | None = None,
-    window_seconds: float = DEFAULT_WINDOW_SECONDS,
 ) -> tuple[np.ndarray, EdaComponents]:
-    """Decompose the session's EDA, window all seven signals, and compute
-    the session's (n_windows, 102) feature matrix.
+    """Decompose the session's EDA, window all seven signals into the
+    default 5 s windows, and compute the session's (n_windows, 102) feature
+    matrix.
 
     `session` holds the five aligned channels that ingest.assemble_session
     returns: eda, bvp, hr, skt and the (N, 3) acc.
@@ -262,19 +262,19 @@ def extract_session_features(
     components.
 
     Raises:
-        PhysioBiasError: window_seconds is not a whole number of samples on
-            some channel, the session is shorter than one window, or a
+        PhysioBiasError: a window is not a whole number of samples at some
+            channel's rate, the session is shorter than one window, or a
             window holds too few samples for a feature.
     """
     eda = session["eda"]
     channels = {"eda": eda, "eda_tonic": eda, "eda_phasic": eda, "bvp": session["bvp"],
                 "hr": session["hr"], "skt": session["skt"], "magnitude": magnitude(session["acc"])}
     rates = {name: s.rate for name, s in channels.items()}
-    windows = window_matrices(channels, window_seconds)
+    windows = window_matrices(channels)
     window_feature_matrix({name: w[:1] for name, w in windows.items()}, rates)
     components = decompose(eda, decomp_params)
     channels["eda_tonic"] = components.tonic
     channels["eda_phasic"] = components.phasic
-    windows = window_matrices(channels, window_seconds)
+    windows = window_matrices(channels)
     return window_feature_matrix(windows, rates), components
 

@@ -265,11 +265,7 @@ def _trim(sig: Signal, t0: float, t1: float) -> Signal:
     )
 
 
-def assemble_session(
-    session_dir: str | Path,
-    labels: dict[str, int],
-    min_duration: float = MIN_SESSION_SECONDS,
-) -> dict[str, Signal]:
+def assemble_session(session_dir: str | Path, labels: dict[str, int]) -> dict[str, Signal]:
     """Parse one session directory into its five aligned channels, keyed as
     CHANNEL_FILES; ACC is (N, 3) rows of (x, y, z) in g.
 
@@ -282,7 +278,7 @@ def assemble_session(
             at which str.splitlines breaks a line, or starts with '#', any
             of which would break features.csv; the participant has no
             label; a channel file is absent or does not parse; or the
-            common interval is shorter than min_duration.
+            common interval is shorter than MIN_SESSION_SECONDS.
     """
     session_dir = Path(session_dir)
     participant_id = session_dir.name
@@ -304,9 +300,9 @@ def assemble_session(
 
     t0 = max(s.start_time for s in parsed.values())
     t1 = min(s.end_time for s in parsed.values())
-    if t1 - t0 < min_duration:
+    if t1 - t0 < MIN_SESSION_SECONDS:
         raise PhysioBiasError(
             f"{participant_id}: common interval {max(t1 - t0, 0.0):.1f}s "
-            f"is below the {min_duration:.0f}s minimum"
+            f"is below the {MIN_SESSION_SECONDS:.0f}s minimum"
         )
     return {name: _trim(s, t0, t1) for name, s in parsed.items()}

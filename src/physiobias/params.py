@@ -1,9 +1,10 @@
-"""The parameters and defaults that the CLI's flags take, in one home that
-imports no numpy.
+"""The pipeline's parameters and defaults, in one home that imports no numpy.
 
 `cli.build_parser` reads its flag defaults here, so a command that never
 touches an array (`smooth`, `report`, `--help`, `--version`) starts without
-numpy. The modules that use a parameter (`eda`, `gbt`, `synth`, `signals`,
+numpy. The window length, the shortest session and `DecompParams` take no
+flag: `extract` always runs at these defaults and records them in its meta.
+The modules that use a parameter (`eda`, `gbt`, `synth`, `signals`,
 `ingest`, `evaluation`) import it from here.
 """
 from __future__ import annotations

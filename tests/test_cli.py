@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -20,6 +22,7 @@ from physiobias.dataset import from_csv
 from physiobias.errors import PhysioBiasError
 from physiobias.evaluation import evaluate
 from physiobias.ingest import assemble_session, load_labels, parse_e4_csv
+from physiobias.params import DecompParams
 from physiobias.pool import spawn_pool
 from physiobias.synth import RATES, SynthParams, generate_corpus
 
@@ -85,7 +88,7 @@ def test_extract_worker_loads_only_the_extraction(corpus):
            f"sessions = Path({str(corpus / 'sessions')!r}); "
            f"labels = load_labels(Path({str(corpus / 'labels.csv')!r})); "
            "reason, _, record = physiobias.cli._extract_session("
-           "sessions / 'P001', labels, DecompParams(), 5.0, 30.0, None, ''); "
+           "sessions / 'P001', labels, DecompParams(), None, ''); "
            "assert reason is None and record['iterations'] > 0, reason")
     loaded = loaded_after_import("physiobias.cli", ("physiobias", "scipy"), then=run)
     assert "physiobias.eda" in loaded and "scipy.linalg" in loaded, loaded
@@ -106,14 +109,30 @@ def corpus(tmp_path_factory):
     return root
 
 
-def run_extract(corpus, out_dir, extra=()):
+def run_extract(corpus, out_dir, extra=(), sessions=None):
     return main([
         "extract",
-        "--data-dir", str(corpus / "sessions"),
+        "--data-dir", str(sessions or corpus / "sessions"),
         "--labels", str(corpus / "labels.csv"),
         "--out", str(out_dir),
         *extra,
     ])
+
+
+def with_hr_rate(corpus, tmp_path, rate):
+    """A copy of the corpus's sessions whose HR.csv files claim `rate` Hz."""
+    sessions = tmp_path / "sessions"
+    shutil.copytree(corpus / "sessions", sessions)
+    for hr in sessions.glob("*/HR.csv"):
+        lines = hr.read_text().splitlines(keepends=True)
+        hr.write_text("".join([lines[0], f"{rate}\n", *lines[2:]]))
+    return sessions
+
+
+def five_iterations(monkeypatch):
+    """Cap the EDA solve of the next extract at 5 iterations. The parent
+    builds DecompParams() and hands the instance to the workers."""
+    monkeypatch.setattr(physiobias.cli, "DecompParams", functools.partial(DecompParams, max_iter=5))
 
 
 class TestSynth:
@@ -168,9 +187,10 @@ def corpus_sha256(root):
     return digest.hexdigest()
 
 
-# extract --debug-eda --decomp-max-iter 5 on the `corpus` fixture without
-# P003's HR.csv: sha256 over corpus_sha256 of the output directory, then
-# stdout and stderr, from the serial loop that the worker pool replaced.
+# extract --debug-eda with the solve capped at 5 iterations, on the `corpus`
+# fixture without P003's HR.csv: sha256 over corpus_sha256 of the output
+# directory, then stdout and stderr, from the serial loop that the worker
+# pool replaced.
 EXTRACT_SHA256 = "866e84bf6e5deb61229e4ff307f34dd1bbb89f2e4893c8ae05cfe14fbdd6f760"
 
 
@@ -181,12 +201,6 @@ class TestExtract:
         data = from_csv(tmp_path / "features.csv")
         assert data.n_rows == 6 * 12  # six 61s sessions -> 12 windows each
         assert len(data.column_names) == 102
-
-    def test_window_seconds_flag(self, corpus, tmp_path):
-        rc = run_extract(corpus, tmp_path, ("--window-seconds", "10"))
-        assert rc == 0
-        data = from_csv(tmp_path / "features.csv")
-        assert data.n_rows == 6 * 6
 
     def test_debug_eda_dumps(self, corpus, tmp_path):
         rc = run_extract(corpus, tmp_path, ("--debug-eda",))
@@ -241,8 +255,11 @@ class TestExtract:
             assert s["residual_rms"] >= 0.0
             assert s["windows"] == 12
 
-    def test_unconverged_decomposition_warns_and_is_kept(self, corpus, tmp_path, capsys):
-        rc = run_extract(corpus, tmp_path, ("--decomp-max-iter", "5"))
+    def test_unconverged_decomposition_warns_and_is_kept(
+        self, corpus, tmp_path, capsys, monkeypatch
+    ):
+        five_iterations(monkeypatch)
+        rc = run_extract(corpus, tmp_path)
         assert rc == 0
         err = capsys.readouterr().err
         for i in range(1, 7):
@@ -255,21 +272,17 @@ class TestExtract:
         assert all(s["kkt_residual"] > tol for s in sessions)
         assert from_csv(tmp_path / "features.csv").n_rows == 6 * 12
 
-    def test_invalid_solver_flag_is_fatal_with_reason(self, corpus, tmp_path, capsys):
-        rc = run_extract(corpus, tmp_path, ("--decomp-max-iter", "0"))
-        assert rc == 2
-        assert "error: max_iter must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "features.csv").exists()
-
     def test_fractional_window_samples_skip_every_session(self, corpus, tmp_path, capsys):
-        # 2.5 s is 2.5 samples of the 1 Hz HR channel: no session can be
+        # 5 s is 2.5 samples of a 0.5 Hz HR channel: no session can be
         # windowed without misaligning HR against the other channels.
-        rc = run_extract(corpus, tmp_path, ("--window-seconds", "2.5"))
+        rc = run_extract(corpus, tmp_path / "out", sessions=with_hr_rate(corpus, tmp_path, 0.5))
         assert rc == 2
         err = capsys.readouterr().err
-        assert all(f"skipping P{i:03d}:" in err for i in range(1, 7))
+        for i in range(1, 7):
+            assert f"skipping P{i:03d}: 5 s windows hold 2.5 samples at 0.5 Hz; " in err
         assert "whole number of samples" in err
-        assert not (tmp_path / "features.csv").exists()
+        assert err.splitlines()[-1] == "error: no usable sessions"
+        assert not (tmp_path / "out" / "features.csv").exists()
 
     def test_participant_id_with_comma_skipped(self, corpus, tmp_path, capsys):
         sessions = tmp_path / "sessions"
@@ -287,13 +300,15 @@ class TestExtract:
         assert set(data.participant_ids) == {f"P{i:03d}" for i in range(1, 7)}
 
     def test_window_seconds_one_skips_every_session(self, corpus, tmp_path, capsys):
-        # 1 s windows hold one HR sample, too few for any statistic.
-        rc = run_extract(corpus, tmp_path, ("--window-seconds", "1"))
+        # A 5 s window of a 0.2 Hz HR channel holds one sample, as a 1 s
+        # window of the E4's 1 Hz HR does: too few for any statistic.
+        rc = run_extract(corpus, tmp_path / "out", sessions=with_hr_rate(corpus, tmp_path, 0.2))
         assert rc == 2
         err = capsys.readouterr().err
         for i in range(1, 7):
             assert f"skipping P{i:03d}: need >= 2 samples for statistics, got 1" in err
-        assert not (tmp_path / "features.csv").exists()
+        assert err.splitlines()[-1] == "error: no usable sessions"
+        assert not (tmp_path / "out" / "features.csv").exists()
 
     def test_non_utf8_channel_file_skips_session(self, corpus, tmp_path, capsys):
         sessions = tmp_path / "sessions"
@@ -326,9 +341,10 @@ class TestExtract:
         shutil.copytree(corpus / "sessions", "sessions")
         shutil.copy(corpus / "labels.csv", "labels.csv")
         Path("sessions/P003/HR.csv").unlink()
+        five_iterations(monkeypatch)
         capsys.readouterr()
         rc = main(["extract", "--data-dir", "sessions", "--labels", "labels.csv", "--out", "out",
-                   "--debug-eda", "--decomp-max-iter", "5"])
+                   "--debug-eda"])
         out, err = capsys.readouterr()
         assert rc == 1
         assert multiprocessing.active_children() == []
@@ -353,6 +369,17 @@ class TestExtract:
         with pytest.raises(SystemExit) as exc:
             run_extract(corpus, tmp_path / "b", ("--seed", "1"))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--window-seconds", "10"), ("--min-duration", "0"), ("--knot-spacing", "5"),
+        ("--decomp-alpha", "1e-3"), ("--decomp-gamma", "1e-3"), ("--decomp-tol", "1e-3"),
+        ("--decomp-max-iter", "5"),
+    ])
+    def test_fixed_windows_and_solver_take_no_flag(self, corpus, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_extract(corpus, tmp_path, (flag, value))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -553,7 +580,7 @@ class TestSmoothCommand:
 
 
 class TestCheckOrder:
-    def test_window_seconds_one_skips_before_the_solve(self, corpus, tmp_path, capsys, monkeypatch):
+    def test_window_seconds_one_skips_before_the_solve(self, corpus, monkeypatch):
         # The solve runs on the extract workers, which a patch here cannot
         # reach, so the order is checked on the session function itself.
         from physiobias import features
@@ -562,14 +589,10 @@ class TestCheckOrder:
             raise AssertionError("decompose called")
 
         session = assemble_session(corpus / "sessions" / "P001", load_labels(corpus / "labels.csv"))
-        with monkeypatch.context() as patch:
-            patch.setattr(features, "decompose", no_solve)
-            with pytest.raises(PhysioBiasError, match="need >= 2 samples for statistics, got 1"):
-                features.extract_session_features(session, window_seconds=1)
-        assert run_extract(corpus, tmp_path, ("--window-seconds", "1")) == 2
-        err = capsys.readouterr().err
-        for i in range(1, 7):
-            assert f"skipping P{i:03d}: need >= 2 samples for statistics, got 1" in err
+        session["hr"] = dataclasses.replace(session["hr"], rate=0.2)  # one sample per 5 s window
+        monkeypatch.setattr(features, "decompose", no_solve)
+        with pytest.raises(PhysioBiasError, match="need >= 2 samples for statistics, got 1"):
+            features.extract_session_features(session)
 
     def test_evaluate_out_naming_a_file_fails_before_training(
         self, features_csv, tmp_path, capsys, monkeypatch
@@ -857,28 +880,6 @@ CONTRACT = [
      "a_file"),
     ("synth-session-dir-is-a-file", _session_dir_is_a_file, "sessions/P001"),
     ("extract-out-is-a-file", lambda c, f, t: _extract_args(c, _a_file(t)), "a_file"),
-    ("extract-window-seconds-nan",
-     lambda c, f, t: _extract_args(c, t / "out") + ["--window-seconds", "nan"],
-     "no usable sessions"),
-    ("extract-knot-spacing-nan",
-     lambda c, f, t: _extract_args(c, t / "out") + ["--knot-spacing", "nan"],
-     "knot_spacing must be > 0"),
-    ("extract-decomp-alpha-nan",
-     lambda c, f, t: _extract_args(c, t / "out") + ["--decomp-alpha", "nan"],
-     "alpha, gamma and tol must be > 0"),
-    ("extract-decomp-gamma-inf",
-     lambda c, f, t: _extract_args(c, t / "out") + ["--decomp-gamma", "inf"],
-     "alpha, gamma and tol must be > 0 and finite"),
-    # four knot spacings overflow the float range: every session is too short
-    ("extract-knot-spacing-overflow",
-     lambda c, f, t: _extract_args(c, t / "out") + ["--knot-spacing", "2e307"],
-     "no usable sessions"),
-    ("extract-min-duration-nan",
-     lambda c, f, t: _extract_args(c, t / "out") + ["--min-duration", "nan"],
-     "min_duration must be finite and >= 0, got nan"),
-    ("extract-min-duration-negative",
-     lambda c, f, t: _extract_args(c, t / "out") + ["--min-duration", "-5"],
-     "min_duration must be finite and >= 0, got -5.0"),
     ("extract-overflowing-acc-row", _overflowing_acc, "skipping P001: "),
     # finite, but its fourth power is not
     ("extract-eda-sample-1e300", _eda_sample("1e300"), "skipping P001: "),

@@ -64,6 +64,8 @@ class TestDecompParams:
             DecompParams(alpha=0.0)
         with pytest.raises(PhysioBiasError, match=re.escape("knot_spacing must be > 0 and finite")):
             DecompParams(knot_spacing=-1.0)
+        with pytest.raises(PhysioBiasError, match=re.escape("max_iter must be >= 1")):
+            DecompParams(max_iter=0)
 
     @pytest.mark.parametrize("name", ["knot_spacing", "alpha", "gamma", "tol"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
